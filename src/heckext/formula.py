@@ -1,9 +1,10 @@
 """Closed-form dimension of the degree-one extension space.
 
-Implements the case-by-case count in terms of the twist-matching set,
-the two boundary indicators, and the commuting-pair correction, together
-with a per-reflection ledger saying why each structure constant is free,
-tied to one of the two marked groups, or forced to vanish.
+One pass over the reflections files each structure constant in a
+per-reflection ledger: free, tied to one of the two one-sided marked
+groups, or forced to vanish (and by which relation).  The dimension is
+then read off the ledger: the free count, the two boundary indicators
+from the tied entries, less the commuting-pair correction.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .coxeter import AffineCoxeterDatum
 from .hecke import HeckeCharacter
-from .torus import Character, TorusDatum, s_lambda, twist
+from .torus import TorusDatum, c_value, twist
 
 # Per-reflection ledger states.
 FREE = "free"
@@ -26,15 +27,15 @@ ZERO_HYP3 = "zero:commutes-with-i1-group"
 ZERO_HYP4 = "zero:commutes-with-i2-group"
 ZERO_HYP5 = "zero:order-three-with-shared-mark"
 
-# Bridge classification of a single reflection.
-CASE1 = "case1:i1-only"
-CASE2 = "case2:admissible-i2-only"
-CASE3 = "case3:inadmissible-unmarked"
-
 
 @dataclass(frozen=True)
 class ExtResult:
-    """Dimension plus the data the closed form was assembled from."""
+    """Dimension plus the data the closed form was assembled from.
+
+    ``i_lambda_pair`` is the twist-matching set, ``i_lambda_i2`` the
+    reflections whose ledger state is free, and ``per_reflection`` the
+    ledger itself.
+    """
 
     dimension: int
     case_tag: str
@@ -47,155 +48,6 @@ class ExtResult:
     per_reflection: dict[str, str] = field(default_factory=dict)
 
 
-def i_lambda_pair(
-    datum: TorusDatum,
-    cox: AffineCoxeterDatum,
-    char1: Character,
-    char2: Character,
-) -> frozenset[str]:
-    """Reflections whose twist carries the first character to the second."""
-    return frozenset(s for s in cox.labels if twist(datum, char1, s) == char2)
-
-
-def bridge_case(
-    datum: TorusDatum,
-    cox: AffineCoxeterDatum,
-    xi1: HeckeCharacter,
-    xi2: HeckeCharacter,
-    s: str,
-) -> str:
-    """Which survival case (if any) lets the structure constant at s live.
-
-    The three zero outcomes are exactly the quadratic-relation kill
-    clauses; the three survival cases are the bridge classification.
-    """
-    cox.index(s)
-    sl1 = s_lambda(datum, cox.labels, xi1.torus_char)
-    in_i1 = s in xi1.marked
-    in_i2 = s in xi2.marked
-    if in_i1 and in_i2:
-        return ZERO_QUAD_BOTH
-    if in_i1:
-        return CASE1
-    if in_i2:
-        return CASE2 if s in sl1 else ZERO_QUAD_I2
-    return ZERO_QUAD_UNMARKED if s in sl1 else CASE3
-
-
-def hyp345_kills(
-    cox: AffineCoxeterDatum,
-    xi1: HeckeCharacter,
-    xi2: HeckeCharacter,
-    s: str,
-) -> bool:
-    """Braid-relation kill conditions for an unmarked reflection.
-
-    The constant at s dies when s commutes with a reflection marked on
-    exactly one side, or has product order 3 with a reflection marked on
-    both sides.
-    """
-    if s in xi1.marked or s in xi2.marked:
-        raise ValueError("reflection %r is marked; kill test is for unmarked ones" % s)
-    both = xi1.marked & xi2.marked
-    for t in (xi1.marked - both) | (xi2.marked - both):
-        if cox.order(s, t) == 2:
-            return True
-    for t in both:
-        if cox.order(s, t) == 3:
-            return True
-    return False
-
-
-def i_lambda_i2(
-    datum: TorusDatum,
-    cox: AffineCoxeterDatum,
-    xi1: HeckeCharacter,
-    xi2: HeckeCharacter,
-) -> frozenset[str]:
-    """Reflections carrying a free structure constant in the third case."""
-    matching = i_lambda_pair(datum, cox, xi1.torus_char, xi2.torus_char)
-    sl1 = s_lambda(datum, cox.labels, xi1.torus_char)
-    survivors = set()
-    for s in cox.labels:
-        if s in sl1 or s in xi2.marked:
-            continue
-        if s in xi1.marked:
-            # marked reflections lie in S_lambda1, so this cannot happen
-            continue
-        if not hyp345_kills(cox, xi1, xi2, s):
-            survivors.add(s)
-    return matching & frozenset(survivors)
-
-
-def deltas(
-    datum: TorusDatum,
-    cox: AffineCoxeterDatum,
-    xi1: HeckeCharacter,
-    xi2: HeckeCharacter,
-) -> tuple[int, int]:
-    """Indicators for a surviving shared constant on each marked group."""
-    matching = i_lambda_pair(datum, cox, xi1.torus_char, xi2.torus_char)
-    sl1 = s_lambda(datum, cox.labels, xi1.torus_char)
-    both = xi1.marked & xi2.marked
-    only1 = xi1.marked - both
-    only2 = xi2.marked - both
-    delta1 = 1 if only1 and only1 <= matching else 0
-    delta2 = (
-        1
-        if xi2.marked <= sl1
-        and not xi2.marked <= xi1.marked
-        and only2 <= matching
-        else 0
-    )
-    return delta1, delta2
-
-
-def hyp2_applies(
-    cox: AffineCoxeterDatum, xi1: HeckeCharacter, xi2: HeckeCharacter
-) -> bool:
-    """Is there a commuting pair across the two one-sided marked groups?"""
-    both = xi1.marked & xi2.marked
-    for s in xi1.marked - both:
-        for t in xi2.marked - both:
-            if cox.order(s, t) == 2:
-                return True
-    return False
-
-
-def _per_reflection_ledger(
-    datum: TorusDatum,
-    cox: AffineCoxeterDatum,
-    xi1: HeckeCharacter,
-    xi2: HeckeCharacter,
-    matching: frozenset[str],
-) -> dict[str, str]:
-    ledger: dict[str, str] = {}
-    both = xi1.marked & xi2.marked
-    for s in cox.labels:
-        case = bridge_case(datum, cox, xi1, xi2, s)
-        if case.startswith("zero:"):
-            ledger[s] = case
-            continue
-        if s not in matching:
-            ledger[s] = ZERO_TORUS
-            continue
-        if case == CASE3 and hyp345_kills(cox, xi1, xi2, s):
-            if any(cox.order(s, t) == 2 for t in xi1.marked - both):
-                ledger[s] = ZERO_HYP3
-            elif any(cox.order(s, t) == 2 for t in xi2.marked - both):
-                ledger[s] = ZERO_HYP4
-            else:
-                ledger[s] = ZERO_HYP5
-            continue
-        if case == CASE1:
-            ledger[s] = TIED_I1
-        elif case == CASE2:
-            ledger[s] = TIED_I2
-        else:
-            ledger[s] = FREE
-    return ledger
-
-
 def ext_dimension(
     datum: TorusDatum,
     cox: AffineCoxeterDatum,
@@ -203,11 +55,43 @@ def ext_dimension(
     xi2: HeckeCharacter,
 ) -> ExtResult:
     """Closed-form dimension of the extension space of xi2 by xi1."""
-    matching = i_lambda_pair(datum, cox, xi1.torus_char, xi2.torus_char)
-    free_set = i_lambda_i2(datum, cox, xi1, xi2)
-    d1, d2 = deltas(datum, cox, xi1, xi2)
-    hyp2 = hyp2_applies(cox, xi1, xi2)
-    lam_eq = xi1.torus_char == xi2.torus_char
+    chi1, chi2 = xi1.torus_char, xi2.torus_char
+    both = xi1.marked & xi2.marked
+    only1, only2 = xi1.marked - both, xi2.marked - both
+    matching: set[str] = set()
+    ledger: dict[str, str] = {}
+    for s in cox.labels:
+        if twist(datum, chi1, s) == chi2:
+            matching.add(s)
+        admissible = c_value(datum, chi1, s) == 1
+        if s in both:
+            state = ZERO_QUAD_BOTH
+        elif s in only2 and not admissible:
+            state = ZERO_QUAD_I2
+        elif s not in only1 and s not in only2 and admissible:
+            state = ZERO_QUAD_UNMARKED
+        elif s not in matching:
+            state = ZERO_TORUS
+        elif s in only1:
+            state = TIED_I1
+        elif s in only2:
+            state = TIED_I2
+        # unmarked and inadmissible: braid relations with the marked groups
+        elif any(cox.order(s, t) == 2 for t in only1):
+            state = ZERO_HYP3
+        elif any(cox.order(s, t) == 2 for t in only2):
+            state = ZERO_HYP4
+        elif any(cox.order(s, t) == 3 for t in both):
+            state = ZERO_HYP5
+        else:
+            state = FREE
+        ledger[s] = state
+    free_set = frozenset(s for s, state in ledger.items() if state == FREE)
+    d1 = 1 if only1 and all(ledger[s] == TIED_I1 for s in only1) else 0
+    d2 = 1 if only2 and all(ledger[s] == TIED_I2 for s in only2) else 0
+    hyp2 = any(cox.order(s, t) == 2 for s in only1 for t in only2)
+
+    lam_eq = chi1 == chi2
     marked_eq = xi1.marked == xi2.marked
     case_tag = "%s-torus-char/%s-marked-set" % (
         "same" if lam_eq else "distinct",
@@ -237,11 +121,11 @@ def ext_dimension(
     return ExtResult(
         dimension=dim,
         case_tag=case_tag,
-        i_lambda_pair=matching,
+        i_lambda_pair=frozenset(matching),
         i_lambda_i2=free_set,
         delta1=d1,
         delta2=d2,
         hyp2=hyp2,
         warnings=warnings,
-        per_reflection=_per_reflection_ledger(datum, cox, xi1, xi2, matching),
+        per_reflection=ledger,
     )

@@ -1,16 +1,13 @@
 """Closed-form engine: matching sets, case indicators, dimensions."""
 
 from heckext.formula import (
-    CASE1,
-    CASE2,
+    FREE,
+    TIED_I1,
+    TIED_I2,
+    ZERO_HYP3,
+    ZERO_HYP4,
     ZERO_QUAD_BOTH,
-    bridge_case,
-    deltas,
     ext_dimension,
-    hyp2_applies,
-    hyp345_kills,
-    i_lambda_i2,
-    i_lambda_pair,
 )
 from heckext.hecke import hecke_character
 from heckext.presets import sl2, sl_n, u11, u21
@@ -22,29 +19,32 @@ def make(preset, phases, marked):
     return hecke_character(preset.torus, preset.coxeter, chi, marked)
 
 
+def result(preset, xi1, xi2):
+    return ext_dimension(preset.torus, preset.coxeter, xi1, xi2)
+
+
 def test_i_lambda_pair_sl2():
     preset = sl2(5)
-    chi1 = character(preset.torus, ["1/4"])
-    chi2 = character(preset.torus, ["2/4"])
-    chi3 = character(preset.torus, ["3/4"])
-    assert i_lambda_pair(preset.torus, preset.coxeter, chi1, chi3) == {"s0", "s1"}
-    assert i_lambda_pair(preset.torus, preset.coxeter, chi1, chi2) == frozenset()
-    trivial = trivial_character(preset.torus)
-    assert i_lambda_pair(preset.torus, preset.coxeter, trivial, trivial) == {
-        "s0",
-        "s1",
-    }
+    xi1 = make(preset, ["1/4"], ())
+    xi2 = make(preset, ["2/4"], ())
+    xi3 = make(preset, ["3/4"], ())
+    assert result(preset, xi1, xi3).i_lambda_pair == {"s0", "s1"}
+    assert result(preset, xi1, xi2).i_lambda_pair == frozenset()
+    trivial = hecke_character(
+        preset.torus, preset.coxeter, trivial_character(preset.torus), ()
+    )
+    assert result(preset, trivial, trivial).i_lambda_pair == {"s0", "s1"}
 
 
 def test_bridge_case_classification():
     preset = sl2(5)
     xi1 = make(preset, [0], {"s0"})
     xi2 = make(preset, [0], {"s1"})
-    assert bridge_case(preset.torus, preset.coxeter, xi1, xi2, "s0") == CASE1
-    assert bridge_case(preset.torus, preset.coxeter, xi1, xi2, "s1") == CASE2
-    assert (
-        bridge_case(preset.torus, preset.coxeter, xi1, xi1, "s0") == ZERO_QUAD_BOTH
-    )
+    assert result(preset, xi1, xi2).per_reflection == {
+        "s0": TIED_I1,
+        "s1": TIED_I2,
+    }
+    assert result(preset, xi1, xi1).per_reflection["s0"] == ZERO_QUAD_BOTH
 
 
 def test_hyp345_kills():
@@ -52,65 +52,73 @@ def test_hyp345_kills():
     tri = sl_n(3, 2)
     xi1 = make(tri, [0, 0], {"s1"})
     xi2 = make(tri, [0, 0], {"s2", "s3"})
-    # no unmarked reflection exists to test; the free set sees none killed
-    assert i_lambda_i2(tri.torus, tri.coxeter, xi1, xi2) == frozenset()
+    assert result(tri, xi1, xi2).i_lambda_i2 == frozenset()
 
-    # 4-cycle: a shared order-3 neighbour kills the unmarked constant
-    sq = sl_n(4, 2)
-    xi = make(sq, [0, 0, 0], {"s1"})
-    assert hyp345_kills(sq.coxeter, xi, xi, "s2")
+    # 4-cycle: an unmarked constant commuting with a one-sided mark dies
+    sq = sl_n(4, 3)
+    xi1 = make(sq, [0, 0, "1/2"], {"s1"})
+    xi2 = make(sq, ["1/2", "1/2", "1/2"], ())
+    assert result(sq, xi1, xi2).per_reflection["s3"] == ZERO_HYP3
+    xi1 = make(sq, [0, 0, "1/2"], ())
+    xi2 = make(sq, [0, "1/2", 0], {"s4"})
+    assert result(sq, xi1, xi2).per_reflection["s2"] == ZERO_HYP4
 
     # infinite order: no finite-order kill condition can fire
     pair = sl2(5)
-    xi1 = make(pair, [0], {"s0"})
-    xi2 = make(pair, [0], set())
-    assert not hyp345_kills(pair.coxeter, xi1, xi2, "s1")
+    xi1 = make(pair, ["1/4"], ())
+    xi2 = make(pair, ["3/4"], ())
+    assert set(result(pair, xi1, xi2).per_reflection.values()) == {FREE}
 
 
 def test_i_lambda_i2_examples():
     preset = sl2(5)
     xi1 = make(preset, ["1/4"], set())
     xi2 = make(preset, ["3/4"], set())
-    assert i_lambda_i2(preset.torus, preset.coxeter, xi1, xi2) == {"s0", "s1"}
+    assert result(preset, xi1, xi2).i_lambda_i2 == {"s0", "s1"}
 
     xi1 = make(preset, [0], {"s0"})
     xi2 = make(preset, [0], {"s1"})
-    assert i_lambda_i2(preset.torus, preset.coxeter, xi1, xi2) == frozenset()
+    assert result(preset, xi1, xi2).i_lambda_i2 == frozenset()
 
     u = u21(2)
     xi1 = make(u, ["1/3", 0], {"s2"})
     xi2 = make(u, ["1/3", 0], set())
-    assert i_lambda_i2(u.torus, u.coxeter, xi1, xi2) == {"s1"}
+    assert result(u, xi1, xi2).i_lambda_i2 == {"s1"}
+
+
+def deltas(preset, xi1, xi2):
+    r = result(preset, xi1, xi2)
+    return r.delta1, r.delta2
 
 
 def test_deltas_examples():
     preset = sl2(5)
     xi_s0 = make(preset, [0], {"s0"})
     xi_s1 = make(preset, [0], {"s1"})
-    assert deltas(preset.torus, preset.coxeter, xi_s0, xi_s1) == (1, 1)
-    assert deltas(preset.torus, preset.coxeter, xi_s0, xi_s0) == (0, 0)
+    assert deltas(preset, xi_s0, xi_s1) == (1, 1)
+    assert deltas(preset, xi_s0, xi_s0) == (0, 0)
 
     u = u21(2)
     xi_empty = make(u, ["1/3", 0], set())
     xi_s2 = make(u, ["1/3", 0], {"s2"})
-    assert deltas(u.torus, u.coxeter, xi_empty, xi_s2) == (0, 1)
+    assert deltas(u, xi_empty, xi_s2) == (0, 1)
 
 
 def test_hyp2_applies():
     sq = sl_n(4, 2)
     xi1 = make(sq, [0, 0, 0], {"s1"})
     xi2 = make(sq, [0, 0, 0], {"s3"})
-    assert hyp2_applies(sq.coxeter, xi1, xi2)  # opposite nodes commute
+    assert result(sq, xi1, xi2).hyp2  # opposite nodes commute
 
     tri = sl_n(3, 2)
     xi1 = make(tri, [0, 0], {"s1"})
     xi2 = make(tri, [0, 0], {"s2", "s3"})
-    assert not hyp2_applies(tri.coxeter, xi1, xi2)
+    assert not result(tri, xi1, xi2).hyp2
 
     pair = sl2(5)
-    assert not hyp2_applies(
-        pair.coxeter, make(pair, [0], {"s0"}), make(pair, [0], {"s1"})
-    )
+    xi1 = make(pair, [0], {"s0"})
+    xi2 = make(pair, [0], {"s1"})
+    assert not result(pair, xi1, xi2).hyp2
 
 
 def dim(preset, xi1, xi2):

@@ -3,15 +3,16 @@
 One pass over the reflections files each structure constant in a
 per-reflection ledger: free, tied to one of the two one-sided marked
 groups, or forced to vanish (and by which relation).  The dimension is
-then read off the ledger: the free count, the two boundary indicators
-from the tied entries, less the commuting-pair correction.
+then read off the ledger: the free count, plus the two boundary
+indicators counted from the tied entries, less the commuting-pair
+correction and the coboundary direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import AffineCoxeterDatum
+from .coxeter import INFINITE, AffineCoxeterDatum
 from .hecke import HeckeCharacter
 from .torus import TorusDatum, c_value, twist
 
@@ -34,7 +35,10 @@ class ExtResult:
 
     ``i_lambda_pair`` is the twist-matching set, ``i_lambda_i2`` the
     reflections whose ledger state is free, and ``per_reflection`` the
-    ledger itself.
+    ledger itself.  ``delta1`` (``delta2``) counts the components of the
+    reflections marked by the first (second) character only, joined
+    along finite-order edges, whose constants are all tied; ``hyp2``
+    says some first-only and second-only marks commute.
     """
 
     dimension: int
@@ -48,13 +52,52 @@ class ExtResult:
     per_reflection: dict[str, str] = field(default_factory=dict)
 
 
+def _tied_components(
+    cox: AffineCoxeterDatum, group: frozenset[str], ledger: dict[str, str], state: str
+) -> int:
+    """Components of a one-sided marked group, joined along finite-order
+    edges, whose constants all carry the given tied state.
+
+    Take s, t marked on the first side only, so each generator acts as
+    [[-1, a_s], [0, 0]] (see ``oracle.SymMatrix``).  In a product of such
+    matrices the lower-right zeros kill every off-diagonal term but the
+    last, so the alternating word of length m has off-diagonal
+    (-1)^(m-1) a_u for its last letter u; the braid relation of finite
+    order m therefore reads a_s = a_t.  On the second side the generators
+    are [[0, a_s], [0, -1]], only the first letter survives, and again
+    a_s = a_t.  Infinite order gives no relation.  So the constants of a
+    component are one shared unknown, which lives exactly when no member
+    is killed by the torus relation: each surviving component adds one.
+    """
+    count = 0
+    seen: set[str] = set()
+    for start in group:
+        if start in seen:
+            continue
+        component = {start}
+        stack = [start]
+        while stack:
+            s = stack.pop()
+            for t in group - component:
+                if cox.order(s, t) != INFINITE:
+                    component.add(t)
+                    stack.append(t)
+        seen |= component
+        count += all(ledger[s] == state for s in component)
+    return count
+
+
 def ext_dimension(
     datum: TorusDatum,
     cox: AffineCoxeterDatum,
     xi1: HeckeCharacter,
     xi2: HeckeCharacter,
 ) -> ExtResult:
-    """Closed-form dimension of the extension space of xi2 by xi1."""
+    """Closed-form dimension of the extension space of xi2 by xi1.
+
+    dimension = |free| + delta1 + delta2 - [hyp2 and delta1 + delta2 > 0]
+    - [same torus character, different marked sets].
+    """
     chi1, chi2 = xi1.torus_char, xi2.torus_char
     both = xi1.marked & xi2.marked
     only1, only2 = xi1.marked - both, xi2.marked - both
@@ -87,8 +130,8 @@ def ext_dimension(
             state = FREE
         ledger[s] = state
     free_set = frozenset(s for s, state in ledger.items() if state == FREE)
-    d1 = 1 if only1 and all(ledger[s] == TIED_I1 for s in only1) else 0
-    d2 = 1 if only2 and all(ledger[s] == TIED_I2 for s in only2) else 0
+    d1 = _tied_components(cox, only1, ledger, TIED_I1)
+    d2 = _tied_components(cox, only2, ledger, TIED_I2)
     hyp2 = any(cox.order(s, t) == 2 for s in only1 for t in only2)
 
     lam_eq = chi1 == chi2
@@ -104,12 +147,15 @@ def ext_dimension(
         for s, t, m in cox.unverified_orders()
     )
 
-    if marked_eq:
-        dim = len(free_set)
-    elif not lam_eq:
-        dim = len(free_set) + d1 + d2 - (1 if hyp2 else 0)
-    else:
-        dim = len(free_set) if hyp2 else len(free_set) + d1 + d2 - 1
+    # a commuting cross pair ties an i1 component to an i2 one; the
+    # coboundary direction lies in the tied span when the characters agree
+    dim = (
+        len(free_set)
+        + d1
+        + d2
+        - (1 if hyp2 and d1 + d2 > 0 else 0)
+        - (1 if lam_eq and not marked_eq else 0)
+    )
 
     if dim < 0:
         warnings = warnings + (

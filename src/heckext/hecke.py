@@ -57,12 +57,6 @@ def hecke_character(
     return HeckeCharacter(torus_char, marked_set)
 
 
-def generator_value(xi: HeckeCharacter, s: str, cox: AffineCoxeterDatum) -> int:
-    """Value of the character on the generator attached to s: -1 or 0."""
-    cox.index(s)  # raises on unknown reflection
-    return -1 if s in xi.marked else 0
-
-
 def is_supersingular(
     datum: TorusDatum, cox: AffineCoxeterDatum, xi: HeckeCharacter
 ) -> bool:
@@ -93,7 +87,8 @@ def enumerate_hecke_characters(
     """
     out: list[HeckeCharacter] = []
     for chi in enumerate_characters(datum, bound=bound):
-        admissible = [s for s in cox.labels if s in s_lambda(datum, cox.labels, chi)]
+        sl = s_lambda(datum, cox.labels, chi)
+        admissible = [s for s in cox.labels if s in sl]
         for mask in range(1 << len(admissible)):
             marked = frozenset(
                 s for k, s in enumerate(admissible) if mask & (1 << k)

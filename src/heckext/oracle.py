@@ -103,8 +103,9 @@ def build_system(
     def unit_row(s: str) -> tuple[int, ...]:
         return tuple(1 if i == index[s] else 0 for i in range(len(unknowns)))
 
+    killed = torus_kill_set(datum, cox, xi1, xi2)
     for s in cox.labels:
-        if s in torus_kill_set(datum, cox, xi1, xi2):
+        if s in killed:
             rows.append((unit_row(s), "TorusKill(%s)" % s))
 
     for s in cox.labels:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .coxeter import AffineCoxeterDatum
 from .formula import ext_dimension
@@ -118,10 +118,15 @@ def apply_automorphism(
     auto: DiagramAutomorphism,
     xi: HeckeCharacter,
 ) -> HeckeCharacter:
-    """Image character: compose the torus character with the torus map and
-    relabel the marked set."""
+    """Image character: the torus character pulled back along the torus map.
+
+    Since the map carries the action at s to the action at perm[s], the
+    pulled-back character is admissible at s exactly when the original
+    is at perm[s]; so the marked set is relabeled by the inverse perm.
+    """
     chi = Character(tuple(pair(xi.torus_char, row) for row in auto.torus_map))
-    marked = frozenset(auto.perm[s] for s in xi.marked)
+    inverse = {t: s for s, t in auto.perm.items()}
+    marked = frozenset(inverse[t] for t in xi.marked)
     return HeckeCharacter(chi, marked)
 
 
@@ -158,7 +163,11 @@ def blocks(q: ExtQuiver) -> list[list[int]]:
     Components are ordered by their least node index; node indices inside a
     component are sorted.
     """
-    n = len(q.nodes)
+    return _components(len(q.nodes), q.edges)
+
+
+def _components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Union-find over 0..n-1; parts sorted inside and by least member."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -167,14 +176,14 @@ def blocks(q: ExtQuiver) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for (i, j) in q.edges:
+    for i, j in links:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return [sorted(groups[r]) for r in sorted(groups)]
+    return [groups[r] for r in sorted(groups)]
 
 
 def l_packets(
@@ -188,14 +197,7 @@ def l_packets(
         auto.validate(datum, cox)
     _check_closure(datum, cox, autos)
     index = {xi: i for i, xi in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    links = []
     for i, xi in enumerate(nodes):
         for auto in autos:
             image = apply_automorphism(datum, cox, auto, xi)
@@ -203,14 +205,8 @@ def l_packets(
                 raise QuiverError(
                     "automorphism image %s left the node set" % format_spec(image)
                 )
-            j = index[image]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(nodes)):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(groups[r]) for r in sorted(groups)]
+            links.append((i, index[image]))
+    return _components(len(nodes), links)
 
 
 def _check_closure(

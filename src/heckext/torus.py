@@ -93,9 +93,6 @@ class TorusDatum:
     def group_order(self) -> int:
         return math.prod(self.orders)
 
-    def reflection_labels(self) -> frozenset[str]:
-        return frozenset(self.actions)
-
     def action(self, s: str) -> tuple[Vector, ...]:
         try:
             return self.actions[s]

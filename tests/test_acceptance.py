@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
-Criteria 5 and 8 compare the closed form against the brute-force engine
-on every ordered pair of every worked preset.  On the rank-one families
-(infinite braid order) the two engines are known to disagree on the
-trivial-vs-sign pairs over a common torus character; those tests report
-the full mismatch list and fail honestly rather than masking it.
+Criterion 5 compares the closed form against the brute-force engine on
+every ordered pair of every worked preset.  Criterion 8 checks the
+oracle's kernel against a tying lemma that treats each one-sided marked
+group as tied as a whole; on the rank-one families (infinite braid order)
+the kernel has untied one-sided constants, so it reports the full list
+and fails honestly rather than masking it.
 """
 
 import functools
@@ -46,6 +47,7 @@ PRESET_SPECS = (
     "u11:2",
     "u11:3",
     "u11:4",
+    "sl_n:4:3",
 )
 
 

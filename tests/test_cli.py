@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from heckext import cli
 from heckext.cli import main
 from heckext.document import dump_document
 from heckext.presets import sl2
@@ -132,9 +134,15 @@ def test_ext_spec_errors(capsys):
     assert "cannot be marked" in err
 
 
-def test_ext_strict_mismatch_exit_code(capsys):
-    # trivial vs sign over the same torus character: the two engines are
-    # known to disagree when the braid order is infinite
+def test_ext_strict_mismatch_exit_code(capsys, monkeypatch):
+    # the engines agree on every shipped pair, so plant a closed-form error
+    real = cli.ext_dimension
+
+    def off_by_one(*args):
+        result = real(*args)
+        return dataclasses.replace(result, dimension=result.dimension + 1)
+
+    monkeypatch.setattr(cli, "ext_dimension", off_by_one)
     code, out, _ = run(
         capsys, "ext", "--preset", "sl2:5", "--from", "0;", "--to", "0;s0,s1",
         "--oracle", "--strict",
@@ -201,6 +209,14 @@ def test_blocks_compare_sl_n_not_equal(capsys):
     assert code == 0
     assert "comparison: NOT EQUAL" in out
     assert "block spanning several packets" in out
+
+
+def test_blocks_compare_sl_n_rotation_orbits(capsys):
+    code, out, _ = run(
+        capsys, "blocks", "--preset", "sl_n:3:3", "--compare-l-packets"
+    )
+    assert code == 0
+    assert "comparison: " in out
 
 
 def test_missing_datum_source(capsys):

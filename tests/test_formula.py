@@ -191,3 +191,31 @@ def test_result_carries_ledger_for_every_reflection():
     xi2 = make(preset, ["1/3", 0], set())
     result = ext_dimension(preset.torus, preset.coxeter, xi1, xi2)
     assert set(result.per_reflection) == {"s1", "s2"}
+
+
+def test_commuting_pair_correction_needs_a_tied_component():
+    # regression: hyp2 holds but neither marked group survives the torus
+    # relation, so there is nothing to correct
+    sq = sl_n(4, 3)
+    xi1 = make(sq, [0, 0, "1/2"], {"s1"})
+    xi2 = make(sq, [0, "1/2", 0], {"s3"})
+    r = result(sq, xi1, xi2)
+    assert r.hyp2 and (r.delta1, r.delta2) == (0, 0)
+    assert r.dimension == 1
+    assert not r.warnings
+
+
+def test_deltas_count_components_along_finite_orders():
+    # infinite order: the two sign marks are separate components
+    preset = sl2(5)
+    trivial = make(preset, [0], set())
+    sign = make(preset, [0], {"s0", "s1"})
+    assert deltas(preset, trivial, sign) == (0, 2)
+    assert deltas(preset, sign, trivial) == (2, 0)
+    assert dim(preset, trivial, sign) == 1
+
+    # order 3: the two marks form one tied component
+    tri = sl_n(3, 2)
+    xi1 = make(tri, [0, 0], set())
+    xi2 = make(tri, [0, 0], {"s1", "s2"})
+    assert deltas(tri, xi1, xi2) == (0, 1)

@@ -6,7 +6,6 @@ from heckext.hecke import (
     HeckeCharacterError,
     enumerate_hecke_characters,
     format_spec,
-    generator_value,
     hecke_character,
     is_supersingular,
     parse_spec,
@@ -44,15 +43,6 @@ def test_unknown_reflection_raises():
     preset = sl2(5)
     with pytest.raises(HeckeCharacterError, match="unknown reflection"):
         hecke_character(preset.torus, preset.coxeter, chi0(preset), {"sX"})
-
-
-def test_generator_values():
-    preset = sl2(5)
-    xi = hecke_character(preset.torus, preset.coxeter, chi0(preset), {"s0"})
-    assert generator_value(xi, "s0", preset.coxeter) == -1
-    assert generator_value(xi, "s1", preset.coxeter) == 0
-    bare = hecke_character(preset.torus, preset.coxeter, chi0(preset), set())
-    assert generator_value(bare, "s0", preset.coxeter) == 0
 
 
 def test_supersingularity_classification():

@@ -154,7 +154,7 @@ def test_sl_n_blocks_differ_from_packets():
 
 
 def test_apply_automorphism_preserves_admissibility():
-    for preset in (sl2(5), sl_n(3, 2), u11(3)):
+    for preset in (sl2(5), sl_n(3, 2), sl_n(3, 3), u11(3)):
         quiver = build_quiver(preset.torus, preset.coxeter, include_non_ss=True)
         for auto in preset.automorphisms:
             for xi in quiver.nodes:

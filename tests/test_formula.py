@@ -30,9 +30,7 @@ def test_i_lambda_pair_sl2():
     xi3 = make(preset, ["3/4"], ())
     assert result(preset, xi1, xi3).i_lambda_pair == {"s0", "s1"}
     assert result(preset, xi1, xi2).i_lambda_pair == frozenset()
-    trivial = hecke_character(
-        preset.torus, preset.coxeter, trivial_character(preset.torus), ()
-    )
+    trivial = make(preset, [0], ())
     assert result(preset, trivial, trivial).i_lambda_pair == {"s0", "s1"}
 
 
@@ -122,7 +120,7 @@ def test_hyp2_applies():
 
 
 def dim(preset, xi1, xi2):
-    return ext_dimension(preset.torus, preset.coxeter, xi1, xi2).dimension
+    return result(preset, xi1, xi2).dimension
 
 
 def test_dimension_sl2_regular_pair():

@@ -27,10 +27,9 @@ from .hecke import (
     HeckeCharacter,
     HeckeCharacterError,
     format_spec,
-    is_supersingular,
     parse_spec,
 )
-from .oracle import build_system, oracle_ext_dimension
+from .oracle import build_system, system_ext_dimension
 from .presets import PRESET_BUILDERS, PresetError, build_preset
 from .quiver import (
     blocks,
@@ -40,7 +39,12 @@ from .quiver import (
     identity_automorphism,
     to_dot,
 )
-from .torus import DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, TorusDatum
+from .torus import (
+    DEFAULT_ENUMERATION_BOUND,
+    EnumerationBoundError,
+    TorusDatum,
+    TorusError,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -148,6 +152,9 @@ def _parse_pair(
         # distinguish malformed text from an inadmissible marked set
         code = EXIT_INVALID if "cannot be marked" in str(exc) else EXIT_PARSE
         raise CliError(str(exc), code)
+    except TorusError as exc:
+        # a well-formed phase the torus does not carry, like a bad mark
+        raise CliError(str(exc), EXIT_INVALID)
     return xi1, xi2
 
 
@@ -167,15 +174,16 @@ def cmd_ext(args) -> int:
     for s in cox.labels:
         print("  %s: %s" % (s, result.per_reflection[s]))
     exit_code = EXIT_OK
+    if use_oracle or args.explain:
+        system = build_system(torus, cox, xi1, xi2)
     if use_oracle:
-        oracle_dim = oracle_ext_dimension(torus, cox, xi1, xi2)
+        oracle_dim = system_ext_dimension(system, cox, xi1, xi2)
         verdict = "MATCH" if oracle_dim == result.dimension else "MISMATCH"
         print("dimension (oracle):      %d" % oracle_dim)
         print("verdict: %s" % verdict)
         if verdict == "MISMATCH" and args.strict:
             exit_code = EXIT_MISMATCH
     if args.explain:
-        system = build_system(torus, cox, xi1, xi2)
         print("constraint rows over F_%d in (%s):" % (
             system.prime, ", ".join(system.unknowns)
         ))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .coxeter import INFINITE, AffineCoxeterDatum, alternating_word
+from .coxeter import AffineCoxeterDatum, alternating_word
 from .hecke import HeckeCharacter
 from .torus import TorusDatum, c_value, twist
 
@@ -136,7 +136,6 @@ def build_system(
 
 def _rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
     """Row-reduce mod p; returns reduced rows and pivot column indices."""
-    reduced: list[list[int]] = []
     pivots: list[int] = []
     work = [row[:] for row in rows]
     col = 0
@@ -206,10 +205,19 @@ def oracle_ext_dimension(
     xi2: HeckeCharacter,
 ) -> int:
     """Kernel dimension, with the coboundary direction quotiented out."""
-    system = build_system(datum, cox, xi1, xi2)
+    return system_ext_dimension(build_system(datum, cox, xi1, xi2), cox, xi1, xi2)
+
+
+def system_ext_dimension(
+    system: ConstraintSystem,
+    cox: AffineCoxeterDatum,
+    xi1: HeckeCharacter,
+    xi2: HeckeCharacter,
+) -> int:
+    """``oracle_ext_dimension`` from the pair's already built constraint system."""
     dim = kernel_dimension(system)
     if xi1.torus_char == xi2.torus_char and xi1.marked != xi2.marked:
-        cob = coboundary_vector(cox, xi1, xi2, datum.residue_char)
+        cob = coboundary_vector(cox, xi1, xi2, system.prime)
         if not in_kernel(system, cob):
             raise TheoryMismatchError(
                 "coboundary vector is not a solution for %r vs %r"

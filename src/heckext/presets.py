@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import AffineCoxeterDatum, INFINITE
-from .quiver import DiagramAutomorphism, identity_automorphism
-from .torus import TorusDatum
+from .quiver import DiagramAutomorphism, compose_automorphisms, identity_automorphism
+from .torus import TorusDatum, identity_map
 
 
 class PresetError(ValueError):
@@ -40,57 +40,23 @@ def prime_power_radical(q: int) -> int:
     return p
 
 
-def _identity_table(rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
-    )
-
-
 def sl2(q: int) -> Preset:
     """Rank-one split family: two reflections with unbounded product order,
     cyclic torus of order q-1 inverted by both reflections."""
     p = prime_power_radical(q)
     cox = AffineCoxeterDatum(("s0", "s1"), ((1, INFINITE), (INFINITE, 1)))
-    d = q - 1 if q > 2 else 1
-    inversion = ((-1 % d if d > 1 else 0,),)
+    d = q - 1
+    inversion = ((-1 % d,),)
     torus = TorusDatum(
         residue_char=p,
         orders=(d,),
         actions={"s0": inversion, "s1": inversion},
         subgroups={"s0": ((1,),), "s1": ((1,),)},
     )
-    swap = DiagramAutomorphism({"s0": "s1", "s1": "s0"}, _identity_table(1))
+    swap = DiagramAutomorphism({"s0": "s1", "s1": "s0"}, identity_map(1))
     return Preset(
         "sl2", {"q": q}, cox, torus, (identity_automorphism(torus, cox), swap)
     )
-
-
-def _position_action(
-    n: int, d: int, sigma: dict[int, int]
-) -> tuple[tuple[int, ...], ...]:
-    """Exponent table of a permutation of the n diagonal positions.
-
-    Free coordinates are positions 1..n-1; position n carries minus their
-    sum.  Generator i is the norm-one element with exponent +1 at position
-    i and -1 at position n, so its image has +1 at sigma(i) and -1 at
-    sigma(n), re-expressed in free coordinates.
-    """
-    r = n - 1
-    rows = []
-    for i in range(1, r + 1):
-        w = [0] * r
-        if sigma[i] <= r:
-            w[sigma[i] - 1] += 1
-        if sigma[n] <= r:
-            w[sigma[n] - 1] -= 1
-        rows.append(tuple(v % d for v in w))
-    return tuple(rows)
-
-
-def _transposition(n: int, a: int, b: int) -> dict[int, int]:
-    sigma = {i: i for i in range(1, n + 1)}
-    sigma[a], sigma[b] = b, a
-    return sigma
 
 
 def _sl_n_coroot(n: int, d: int, a: int, b: int) -> tuple[int, ...]:
@@ -104,10 +70,23 @@ def _sl_n_coroot(n: int, d: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(v % d for v in vec)
 
 
-def _sl_n_rotation_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Torus map induced by rotating the diagonal positions by one step."""
-    rotation = {i: i % n + 1 for i in range(1, n + 1)}
-    return _position_action(n, d, rotation)
+def _position_action(
+    n: int, d: int, sigma: dict[int, int]
+) -> tuple[tuple[int, ...], ...]:
+    """Exponent table of a permutation of the n diagonal positions.
+
+    Free coordinates are positions 1..n-1; position n carries minus their
+    sum.  Generator i is the norm-one element with exponent +1 at position
+    i and -1 at position n, so its image has +1 at sigma(i) and -1 at
+    sigma(n), re-expressed in free coordinates.
+    """
+    return tuple(_sl_n_coroot(n, d, sigma[i], sigma[n]) for i in range(1, n))
+
+
+def _transposition(n: int, a: int, b: int) -> dict[int, int]:
+    sigma = {i: i for i in range(1, n + 1)}
+    sigma[a], sigma[b] = b, a
+    return sigma
 
 
 def sl_n(n: int, q: int) -> Preset:
@@ -128,46 +107,35 @@ def sl_n(n: int, q: int) -> Preset:
                 row.append(2)
         orders.append(tuple(row))
     cox = AffineCoxeterDatum(labels, tuple(orders))
-    d = q - 1 if q > 2 else 1
-    dd = max(d, 1)
+    d = q - 1
     # reflection s_i (i < n) swaps diagonal positions (i, i+1); the affine
     # reflection s_n swaps positions (n, 1) through the highest root
     transpositions = {
         "s%d" % i: (i, i + 1) if i < n else (n, 1) for i in range(1, n + 1)
     }
     actions = {
-        s: _position_action(n, dd, _transposition(n, a, b))
+        s: _position_action(n, d, _transposition(n, a, b))
         for s, (a, b) in transpositions.items()
     }
     subgroups = {
-        s: (_sl_n_coroot(n, dd, a, b),) for s, (a, b) in transpositions.items()
+        s: (_sl_n_coroot(n, d, a, b),) for s, (a, b) in transpositions.items()
     }
     torus = TorusDatum(
         residue_char=p,
-        orders=tuple([dd] * (n - 1)),
+        orders=tuple([d] * (n - 1)),
         actions=actions,
         subgroups=subgroups,
     )
-    rotation_perm = {
-        "s%d" % i: "s%d" % (i % n + 1) for i in range(1, n + 1)
-    }
-    rotation = DiagramAutomorphism(rotation_perm, _sl_n_rotation_table(n, dd))
+    # rotating the diagonal positions by one step rotates the affine cycle
+    step = {i: i % n + 1 for i in range(1, n + 1)}
+    rotation_perm = {"s%d" % i: "s%d" % step[i] for i in step}
+    rotation = DiagramAutomorphism(rotation_perm, _position_action(n, d, step))
     autos = [identity_automorphism(torus, cox)]
     current = rotation
     for _ in range(n - 1):
         autos.append(current)
-        current = _compose(torus, current, rotation)
+        current = compose_automorphisms(torus, current, rotation)
     return Preset("sl_n", {"n": n, "q": q}, cox, torus, tuple(autos))
-
-
-def _compose(
-    torus: TorusDatum, first: DiagramAutomorphism, second: DiagramAutomorphism
-) -> DiagramAutomorphism:
-    from .torus import compose_exponent_maps
-
-    perm = {s: second.perm[first.perm[s]] for s in first.perm}
-    table = compose_exponent_maps(torus, second.torus_map, first.torus_map)
-    return DiagramAutomorphism(perm, table)
 
 
 def u11(q: int) -> Preset:

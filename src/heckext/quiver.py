@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -14,7 +15,9 @@ from .torus import (
     Character,
     TorusDatum,
     compose_exponent_maps,
+    identity_map,
     pair,
+    undefined_generator,
     vectors_equal,
 )
 
@@ -54,10 +57,8 @@ class DiagramAutomorphism:
                     raise QuiverError(
                         "perm does not preserve the order m(%s,%s)" % (s, t)
                     )
-        for i, image in enumerate(self.torus_map):
-            for j, e in enumerate(image):
-                if (datum.orders[i] * e) % datum.orders[j] != 0:
-                    raise QuiverError("torus_map is not a well-defined endomorphism")
+        if undefined_generator(datum.orders, self.torus_map) is not None:
+            raise QuiverError("torus_map is not a well-defined endomorphism")
         if not _is_bijective(datum, self.torus_map):
             raise QuiverError("torus_map is not invertible")
         for s in cox.labels:
@@ -72,44 +73,25 @@ class DiagramAutomorphism:
                     )
 
 
+def compose_automorphisms(
+    datum: TorusDatum, first: DiagramAutomorphism, second: DiagramAutomorphism
+) -> DiagramAutomorphism:
+    """The automorphism that applies ``first``, then ``second``."""
+    perm = {s: second.perm[first.perm[s]] for s in first.perm}
+    table = compose_exponent_maps(datum, second.torus_map, first.torus_map)
+    return DiagramAutomorphism(perm, table)
+
+
 def _is_bijective(datum: TorusDatum, table: Sequence[tuple[int, ...]]) -> bool:
     # small groups only: check injectivity on all elements
-    seen = set()
-    total = datum.group_order
-    if total > DEFAULT_ENUMERATION_BOUND:
+    if datum.group_order > DEFAULT_ENUMERATION_BOUND:
         raise QuiverError("group too large to validate torus_map")
-
-    def elements():
-        vec = [0] * datum.rank
-
-        def rec(i: int):
-            if i == datum.rank:
-                yield tuple(vec)
-                return
-            for k in range(datum.orders[i]):
-                vec[i] = k
-                yield from rec(i + 1)
-
-        yield from rec(0)
-
-    for x in elements():
-        image = [0] * datum.rank
-        for i, e in enumerate(x):
-            for j, v in enumerate(table[i]):
-                image[j] += e * v
-        canon = tuple(v % d for v, d in zip(image, datum.orders))
-        if canon in seen:
-            return False
-        seen.add(canon)
-    return len(seen) == total
+    elements = itertools.product(*(range(d) for d in datum.orders))
+    return len(set(compose_exponent_maps(datum, table, elements))) == datum.group_order
 
 
 def identity_automorphism(datum: TorusDatum, cox: AffineCoxeterDatum) -> DiagramAutomorphism:
-    table = tuple(
-        tuple(1 if j == i else 0 for j in range(datum.rank))
-        for i in range(datum.rank)
-    )
-    return DiagramAutomorphism({s: s for s in cox.labels}, table)
+    return DiagramAutomorphism({s: s for s in cox.labels}, identity_map(datum.rank))
 
 
 def apply_automorphism(
@@ -224,10 +206,7 @@ def _check_closure(
     keys = {key(a) for a in autos}
     for a in autos:
         for b in autos:
-            perm = {s: b.perm[a.perm[s]] for s in cox.labels}
-            table = compose_exponent_maps(datum, b.torus_map, a.torus_map)
-            composite = DiagramAutomorphism(perm, table)
-            if key(composite) not in keys:
+            if key(compose_automorphisms(datum, a, b)) not in keys:
                 raise QuiverError("automorphism list is not closed under composition")
 
 

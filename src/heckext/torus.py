@@ -10,6 +10,7 @@ triviality are plain integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,17 +72,15 @@ class TorusDatum:
                     raise TorusError("subgroup generator for %r has wrong length" % s)
 
     def _check_endomorphism(self, s: str, matrix: tuple[Vector, ...]) -> None:
-        for i, image in enumerate(matrix):
-            for j, e in enumerate(image):
-                if (self.orders[i] * e) % self.orders[j] != 0:
-                    raise TorusError(
-                        "action for %r is not well defined on generator %d" % (s, i)
-                    )
+        i = undefined_generator(self.orders, matrix)
+        if i is not None:
+            raise TorusError(
+                "action for %r is not well defined on generator %d" % (s, i)
+            )
 
     def _check_involutive(self, s: str, matrix: tuple[Vector, ...]) -> None:
         square = compose_exponent_maps(self, matrix, matrix)
-        for i, image in enumerate(square):
-            expected = tuple(1 if j == i else 0 for j in range(len(self.orders)))
+        for image, expected in zip(square, identity_map(self.rank)):
             if not vectors_equal(self, image, expected):
                 raise TorusError("action for %r is not involutive" % s)
 
@@ -111,15 +110,38 @@ def vectors_equal(datum: TorusDatum, x: Vector, y: Vector) -> bool:
     return all((a - b) % d == 0 for a, b, d in zip(x, y, datum.orders))
 
 
+def identity_map(rank: int) -> tuple[Vector, ...]:
+    """Exponent table of the identity map on a torus of this rank."""
+    return tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
+
+
+def undefined_generator(
+    orders: Sequence[int], table: Sequence[Vector]
+) -> int | None:
+    """First generator i whose image is not killed by its order d_i, else None.
+
+    Each image exponent e at generator j needs d_i * e = 0 mod d_j.
+    """
+    for i, image in enumerate(table):
+        for j, e in enumerate(image):
+            if (orders[i] * e) % orders[j] != 0:
+                return i
+    return None
+
+
 def compose_exponent_maps(
-    datum: TorusDatum, outer: Sequence[Vector], inner: Sequence[Vector]
+    datum: TorusDatum, outer: Sequence[Vector], inner: Iterable[Vector]
 ) -> tuple[Vector, ...]:
-    """Exponent table of g -> outer(inner(g)), reduced mod the orders."""
+    """Images under ``outer`` of every vector of ``inner``, reduced mod the orders.
+
+    With one row of ``inner`` per generator this is the exponent table of
+    g -> outer(inner(g)).
+    """
     r = datum.rank
     rows = []
-    for i in range(r):
+    for vector in inner:
         acc = [0] * r
-        for j, coeff in enumerate(inner[i]):
+        for j, coeff in enumerate(vector):
             for k in range(r):
                 acc[k] += coeff * outer[j][k]
         rows.append(tuple(e % d for e, d in zip(acc, datum.orders)))
@@ -201,17 +223,7 @@ def enumerate_characters(
         raise EnumerationBoundError(
             "group order %d exceeds enumeration bound %d" % (total, bound)
         )
-    out: list[Character] = []
-    phases = [Fraction(0)] * datum.rank
-
-    def rec(i: int) -> None:
-        if i == datum.rank:
-            out.append(Character(tuple(phases)))
-            return
-        d = datum.orders[i]
-        for k in range(d):
-            phases[i] = Fraction(k, d)
-            rec(i + 1)
-
-    rec(0)
-    return out
+    return [
+        Character(tuple(Fraction(k, d) for k, d in zip(exponents, datum.orders)))
+        for exponents in itertools.product(*(range(d) for d in datum.orders))
+    ]

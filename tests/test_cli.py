@@ -120,6 +120,15 @@ def test_ext_explain_prints_rows(capsys):
     )
     assert code == 0
     assert "Quadratic(s0)" in out
+    # --oracle and --explain together print the dimension and the rows
+    code, out, _ = run(
+        capsys, "ext", "--preset", "sl2:5", "--from", "0;", "--to", "0;s0,s1",
+        "--oracle", "--explain",
+    )
+    assert code == 0
+    assert "dimension (oracle):      1" in out
+    assert "verdict: MATCH" in out
+    assert "Quadratic(s1)" in out
 
 
 def test_ext_spec_errors(capsys):
@@ -132,6 +141,15 @@ def test_ext_spec_errors(capsys):
     )
     assert code == 1
     assert "cannot be marked" in err
+    # a phase whose denominator does not divide the generator order
+    code, out, err = run(
+        capsys, "ext", "--preset", "sl2:5", "--from", "1/3;", "--to", "0;"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: phase 1/3 has denominator not dividing generator order 4"
+    ]
 
 
 def test_ext_strict_mismatch_exit_code(capsys, monkeypatch):

@@ -178,6 +178,19 @@ def test_invalid_automorphism_rejected():
     not_a_permutation = {"s1": "s1", "s2": "s1", "s3": "s3", "s4": "s4"}
     with pytest.raises(QuiverError):
         DiagramAutomorphism(not_a_permutation, identity_table).validate(torus, cox)
+    # torus maps that fail each remaining check under the identity perm
+    rotation = sl_n(3, 3).automorphisms[1].torus_map
+    cases = [
+        (u21(3), ((1, 0), (1, 1)), "not a well-defined endomorphism"),
+        (u11(3), ((2,),), "not invertible"),
+        (sl_n(3, 3), rotation, "does not intertwine"),
+    ]
+    for preset, table, message in cases:
+        identity_perm = {s: s for s in preset.coxeter.labels}
+        with pytest.raises(QuiverError, match=message):
+            DiagramAutomorphism(identity_perm, table).validate(
+                preset.torus, preset.coxeter
+            )
 
 
 def test_packet_closure_check():

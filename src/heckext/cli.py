@@ -24,8 +24,8 @@ from .document import (
 )
 from .formula import ext_dimension
 from .hecke import (
-    HeckeCharacter,
     HeckeCharacterError,
+    InadmissibleMarkError,
     format_spec,
     parse_spec,
 )
@@ -59,9 +59,21 @@ TSV_HEADER_ORACLE = (
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """Command line that names no datum source."""
+
+
+# first match wins, so a subclass comes before its base; QuiverError and
+# TheoryMismatchError are left out: they mean a broken internal invariant
+EXIT_CODES = (
+    (DocumentParseError, EXIT_PARSE),
+    (DocumentError, EXIT_INVALID),
+    (PresetError, EXIT_PARSE),
+    (InadmissibleMarkError, EXIT_INVALID),
+    (HeckeCharacterError, EXIT_PARSE),
+    (TorusError, EXIT_INVALID),
+    (EnumerationBoundError, EXIT_BOUND),
+    (CliError, EXIT_PARSE),
+)
 
 
 def _preset_title(preset) -> str:
@@ -73,21 +85,13 @@ def _preset_title(preset) -> str:
 def _load_context(args) -> tuple[str, AffineCoxeterDatum, TorusDatum, tuple]:
     """Resolve --preset/--datum into (name, coxeter, torus, automorphisms)."""
     if getattr(args, "preset", None):
-        try:
-            preset = build_preset(args.preset)
-        except PresetError as exc:
-            raise CliError(str(exc), EXIT_PARSE)
+        preset = build_preset(args.preset)
         return _preset_title(preset), preset.coxeter, preset.torus, preset.automorphisms
     if getattr(args, "datum", None):
-        try:
-            datum = load_document(args.datum)
-        except DocumentParseError as exc:
-            raise CliError(str(exc), EXIT_PARSE)
-        except DocumentError as exc:
-            raise CliError(str(exc), EXIT_INVALID)
+        datum = load_document(args.datum)
         autos = (identity_automorphism(datum.torus, datum.coxeter),)
         return datum.name, datum.coxeter, datum.torus, autos
-    raise CliError("one of --preset or --datum is required", EXIT_PARSE)
+    raise CliError("one of --preset or --datum is required")
 
 
 def _warn_unverified(cox: AffineCoxeterDatum, strict: bool) -> bool:
@@ -110,10 +114,7 @@ def cmd_presets(args) -> int:
             example = "%s:%s" % (name, ":".join(["3"] * arity))
             print("%s\t%d argument(s)\te.g. %s" % (name, arity, example))
         return EXIT_OK
-    try:
-        preset = build_preset(args.spec)
-    except PresetError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    preset = build_preset(args.spec)
     name = _preset_title(preset)
     if args.json:
         sys.stdout.write(dump_document(name, preset.coxeter, preset.torus))
@@ -127,14 +128,7 @@ def cmd_presets(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        datum = load_document(args.path)
-    except DocumentParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except DocumentError as exc:
-        print("invalid datum: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    datum = load_document(args.path)
     print(
         "valid: %s (%d reflections, torus order %d)"
         % (datum.name, len(datum.coxeter.labels), datum.torus.group_order)
@@ -142,26 +136,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _parse_pair(
-    torus: TorusDatum, cox: AffineCoxeterDatum, args
-) -> tuple[HeckeCharacter, HeckeCharacter]:
-    try:
-        xi1 = parse_spec(torus, cox, getattr(args, "from"))
-        xi2 = parse_spec(torus, cox, args.to)
-    except HeckeCharacterError as exc:
-        # distinguish malformed text from an inadmissible marked set
-        code = EXIT_INVALID if "cannot be marked" in str(exc) else EXIT_PARSE
-        raise CliError(str(exc), code)
-    except TorusError as exc:
-        # a well-formed phase the torus does not carry, like a bad mark
-        raise CliError(str(exc), EXIT_INVALID)
-    return xi1, xi2
-
-
 def cmd_ext(args) -> int:
     name, cox, torus, _ = _load_context(args)
     force_oracle = _warn_unverified(cox, args.strict)
-    xi1, xi2 = _parse_pair(torus, cox, args)
+    xi1 = parse_spec(torus, cox, getattr(args, "from"))
+    xi2 = parse_spec(torus, cox, args.to)
     result = ext_dimension(torus, cox, xi1, xi2)
     use_oracle = args.oracle or force_oracle
     print("datum: %s" % name)
@@ -195,16 +174,13 @@ def cmd_ext(args) -> int:
 def cmd_table(args) -> int:
     name, cox, torus, _ = _load_context(args)
     force_oracle = _warn_unverified(cox, args.strict)
-    try:
-        quiver = build_quiver(
-            torus,
-            cox,
-            engine="oracle" if (args.oracle or force_oracle) else "formula",
-            include_non_ss=not args.supersingular_only,
-            bound=args.bound,
-        )
-    except EnumerationBoundError as exc:
-        raise CliError(str(exc), EXIT_BOUND)
+    quiver = build_quiver(
+        torus,
+        cox,
+        engine="oracle" if (args.oracle or force_oracle) else "formula",
+        include_non_ss=not args.supersingular_only,
+        bound=args.bound,
+    )
     if args.format == "dot":
         sys.stdout.write(to_dot(quiver))
         return EXIT_OK
@@ -255,10 +231,7 @@ def cmd_table(args) -> int:
 def cmd_blocks(args) -> int:
     name, cox, torus, autos = _load_context(args)
     _warn_unverified(cox, strict=False)
-    try:
-        quiver = build_quiver(torus, cox, engine="formula", bound=args.bound)
-    except EnumerationBoundError as exc:
-        raise CliError(str(exc), EXIT_BOUND)
+    quiver = build_quiver(torus, cox, engine="formula", bound=args.bound)
     block_partition = blocks(quiver)
     print("datum: %s" % name)
     print("%d supersingular characters, %d blocks" % (
@@ -349,13 +322,12 @@ COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except CliError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return exc.code
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

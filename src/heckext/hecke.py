@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .coxeter import AffineCoxeterDatum, CoxeterError
+from .coxeter import AffineCoxeterDatum
 from .torus import (
     DEFAULT_ENUMERATION_BOUND,
     Character,
@@ -26,6 +26,10 @@ from .torus import (
 
 class HeckeCharacterError(ValueError):
     """Inadmissible (torus character, marked set) pair or bad spec string."""
+
+
+class InadmissibleMarkError(HeckeCharacterError):
+    """A marked reflection outside S_lambda for the torus character."""
 
 
 @dataclass(frozen=True, eq=True)
@@ -50,7 +54,7 @@ def hecke_character(
     admissible = s_lambda(datum, cox.labels, torus_char)
     for s in sorted(marked_set):
         if s not in admissible:
-            raise HeckeCharacterError(
+            raise InadmissibleMarkError(
                 "reflection %r cannot be marked: the torus character is "
                 "nontrivial on its rank-one subgroup" % s
             )
@@ -128,7 +132,4 @@ def parse_spec(
         raise HeckeCharacterError("bad phase in character spec %r: %s" % (text, exc))
     chi = character(datum, phases)
     marked = [m.strip() for m in marked_part.split(",") if m.strip()]
-    try:
-        return hecke_character(datum, cox, chi, marked)
-    except CoxeterError as exc:
-        raise HeckeCharacterError(str(exc))
+    return hecke_character(datum, cox, chi, marked)

@@ -57,6 +57,9 @@ class DiagramAutomorphism:
                     raise QuiverError(
                         "perm does not preserve the order m(%s,%s)" % (s, t)
                     )
+        r = datum.rank
+        if len(self.torus_map) != r or any(len(v) != r for v in self.torus_map):
+            raise QuiverError("torus_map is not a %dx%d table" % (r, r))
         if undefined_generator(datum.orders, self.torus_map) is not None:
             raise QuiverError("torus_map is not a well-defined endomorphism")
         if not _is_bijective(datum, self.torus_map):

@@ -23,10 +23,6 @@ class TorusError(ValueError):
     """Invalid torus datum."""
 
 
-class UnknownReflectionError(TorusError):
-    """Reflection label not present in the datum."""
-
-
 class EnumerationBoundError(RuntimeError):
     """Group too large for exhaustive character enumeration."""
 
@@ -59,30 +55,30 @@ class TorusDatum:
             if math.gcd(d, p) != 1:
                 raise TorusError("generator order %d not coprime to p=%d" % (d, p))
         r = len(self.orders)
+        unit = identity_map(r)
         for s, matrix in self.actions.items():
             if len(matrix) != r or any(len(v) != r for v in matrix):
                 raise TorusError("action for %r is not a %dx%d table" % (s, r, r))
-            self._check_endomorphism(s, matrix)
-            self._check_involutive(s, matrix)
+            i = undefined_generator(self.orders, matrix)
+            if i is not None:
+                raise TorusError(
+                    "action for %r is not well defined on generator %d" % (s, i)
+                )
+            square = compose_exponent_maps(self, matrix, matrix)
+            if not all(vectors_equal(self, a, b) for a, b in zip(square, unit)):
+                raise TorusError("action for %r is not involutive" % s)
         if set(self.subgroups) != set(self.actions):
             raise TorusError("actions and subgroups must cover the same reflections")
         for s, gens in self.subgroups.items():
             for v in gens:
                 if len(v) != r:
                     raise TorusError("subgroup generator for %r has wrong length" % s)
-
-    def _check_endomorphism(self, s: str, matrix: tuple[Vector, ...]) -> None:
-        i = undefined_generator(self.orders, matrix)
-        if i is not None:
-            raise TorusError(
-                "action for %r is not well defined on generator %d" % (s, i)
-            )
-
-    def _check_involutive(self, s: str, matrix: tuple[Vector, ...]) -> None:
-        square = compose_exponent_maps(self, matrix, matrix)
-        for image, expected in zip(square, identity_map(self.rank)):
-            if not vectors_equal(self, image, expected):
-                raise TorusError("action for %r is not involutive" % s)
+            # s(t) = t * coroot(root(t))^-1: s(g) - g lies in the rank-one subgroup
+            i = generator_off_subgroup(self.orders, self.actions[s], gens)
+            if i is not None:
+                raise TorusError(
+                    "action for %r moves generator %d off its subgroup" % (s, i)
+                )
 
     @property
     def rank(self) -> int:
@@ -96,13 +92,13 @@ class TorusDatum:
         try:
             return self.actions[s]
         except KeyError:
-            raise UnknownReflectionError("unknown reflection %r" % s) from None
+            raise TorusError("unknown reflection %r" % s) from None
 
     def subgroup(self, s: str) -> tuple[Vector, ...]:
         try:
             return self.subgroups[s]
         except KeyError:
-            raise UnknownReflectionError("unknown reflection %r" % s) from None
+            raise TorusError("unknown reflection %r" % s) from None
 
 
 def vectors_equal(datum: TorusDatum, x: Vector, y: Vector) -> bool:
@@ -126,6 +122,33 @@ def undefined_generator(
         for j, e in enumerate(image):
             if (orders[i] * e) % orders[j] != 0:
                 return i
+    return None
+
+
+def generator_off_subgroup(
+    orders: Sequence[int], table: Sequence[Vector], gens: Iterable[Vector]
+) -> int | None:
+    """A generator i with table(g_i) - g_i outside the subgroup <gens>, else None.
+
+    Euclid on each column of the lattice of ``gens`` and the d_j * e_j leaves
+    one pivot per column; a vector is in it when each pivot divides exactly.
+    """
+    r = len(orders)
+    unit = identity_map(r)
+    rows = [list(g) for g in gens] + [[d * e for e in u] for d, u in zip(orders, unit)]
+    moved = [[a - b for a, b in zip(image, u)] for image, u in zip(table, unit)]
+    for col in range(r):
+        pivot = [0] * r
+        for k, row in enumerate(rows):
+            while row[col]:
+                q = pivot[col] // row[col]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]
+            rows[k] = row
+        for i, x in enumerate(moved):
+            q, rem = divmod(x[col], pivot[col])
+            if rem:
+                return i
+            moved[i] = [a - q * b for a, b in zip(x, pivot)]
     return None
 
 

@@ -19,6 +19,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_failing(capsys, *argv):
+    """Exit code and message of a command that must fail cleanly: nothing
+    on stdout and exactly one ``error:`` line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return code, lines[0]
+
+
+def test_exit_codes_list_subclasses_first():
+    # the first matching entry wins, so an earlier base would shadow it
+    for k, (kind, _) in enumerate(cli.EXIT_CODES):
+        for earlier, _ in cli.EXIT_CODES[:k]:
+            assert not issubclass(kind, earlier), (kind, earlier)
+
+
 def test_presets_list(capsys):
     code, out, _ = run(capsys, "presets", "list")
     assert code == 0
@@ -43,6 +60,9 @@ def test_presets_show_bad_spec(capsys):
     code, _, err = run(capsys, "presets", "show", "nope:1")
     assert code == 2
     assert "unknown preset" in err
+    code, line = run_failing(capsys, "presets", "show", "sl2:6")
+    assert code == 2
+    assert "not a prime power" in line
 
 
 def test_validate_accepts_preset_document(tmp_path, capsys):
@@ -150,6 +170,53 @@ def test_ext_spec_errors(capsys):
     assert err.splitlines() == [
         "error: phase 1/3 has denominator not dividing generator order 4"
     ]
+    code, line = run_failing(
+        capsys, "ext", "--preset", "sl2:5", "--from", "0;s9", "--to", "0;"
+    )
+    assert code == 2
+    assert "unknown reflection 's9'" in line
+
+
+def test_ext_datum_errors(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{oops")
+    code, line = run_failing(
+        capsys, "ext", "--datum", str(broken), "--from", "0;", "--to", "0;"
+    )
+    assert code == 2
+    assert "invalid JSON" in line
+    preset = sl2(5)
+    doc = json.loads(dump_document("sl2", preset.coxeter, preset.torus))
+    doc["zk_orders"] = [5]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, line = run_failing(
+        capsys, "ext", "--datum", str(bad), "--from", "0;", "--to", "0;"
+    )
+    assert code == 1
+    assert "coprime" in line
+
+
+def test_action_moving_outside_subgroup_is_invalid(tmp_path, capsys):
+    # inversion on Z/3 moves the generator outside the trivial subgroup,
+    # which no real reflection does; both engines rely on it
+    doc = {
+        "name": "bad", "p": 2, "reflections": ["s0", "s1"],
+        "coxeter": [[1, 0], [0, 1]], "zk_orders": [3],
+        "actions": {"s0": [[2]], "s1": [[2]]},
+        "subgroups": {"s0": [[0]], "s1": [[0]]},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    expected = "error: action for 's0' moves generator 0 off its subgroup"
+    assert run_failing(capsys, "validate", str(path)) == (1, expected)
+    assert run_failing(
+        capsys, "ext", "--datum", str(path), "--from", "1/3;s0", "--to", "1/3;",
+        "--oracle",
+    ) == (1, expected)
+    assert run_failing(
+        capsys, "table", "--datum", str(path), "--oracle"
+    ) == (1, expected)
 
 
 def test_ext_strict_mismatch_exit_code(capsys, monkeypatch):
@@ -204,6 +271,9 @@ def test_table_bound_exceeded(capsys):
         capsys, "table", "--preset", "sl2:7", "--bound", "2"
     )
     assert code == 3
+    code, line = run_failing(capsys, "blocks", "--preset", "sl2:7", "--bound", "2")
+    assert code == 3
+    assert "exceeds enumeration bound 2" in line
 
 
 def test_blocks_sl2(capsys):

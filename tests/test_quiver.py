@@ -184,6 +184,8 @@ def test_invalid_automorphism_rejected():
         (u21(3), ((1, 0), (1, 1)), "not a well-defined endomorphism"),
         (u11(3), ((2,),), "not invertible"),
         (sl_n(3, 3), rotation, "does not intertwine"),
+        (u21(3), ((1,), (0, 1)), "not a 2x2 table"),
+        (u21(3), ((1, 0),), "not a 2x2 table"),
     ]
     for preset, table, message in cases:
         identity_perm = {s: s for s in preset.coxeter.labels}

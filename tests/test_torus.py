@@ -1,7 +1,9 @@
 """Torus quotient: characters, twists, subgroup triviality, enumeration."""
 
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from heckext.torus import (
     c_value,
     character,
     enumerate_characters,
+    generator_off_subgroup,
     is_trivial_on_subgroup,
     pair,
     s_lambda,
@@ -169,6 +172,42 @@ def test_datum_validation():
     with pytest.raises(TorusError):
         # subgroups must cover the same reflections as actions
         TorusDatum(5, (4,), {"s": ((1,),)}, {})
+    # s(g) - g must lie in the rank-one subgroup: inversion on Z/3 moves
+    # the generator by 1, outside the trivial subgroup
+    with pytest.raises(TorusError, match="'s0' moves generator 0 off its subgroup"):
+        TorusDatum(2, (3,), {"s0": ((2,),)}, {"s0": ((0,),)})
+    with pytest.raises(TorusError, match="'s' moves generator 1 off its subgroup"):
+        TorusDatum(5, (4, 3), {"s": ((1, 0), (0, 2))}, {"s": ((2, 0),)})
+    TorusDatum(2, (3,), {"s0": ((2,),)}, {"s0": ((1,),)})
+
+
+def test_generator_off_subgroup_matches_enumeration():
+    # reference: list the subgroup's elements and test membership directly
+    rng = random.Random(3)
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        orders = [rng.randint(1, 6) for _ in range(r)]
+        gens = [
+            tuple(rng.randint(-9, 9) for _ in range(r))
+            for _ in range(rng.randint(0, 2))
+        ]
+        table = [tuple(rng.randint(-9, 9) for _ in range(r)) for _ in range(r)]
+
+        def reduced(v):
+            return tuple(e % d for e, d in zip(v, orders))
+
+        coefficients = range(math.lcm(*orders))
+        members = {
+            reduced([sum(c * g[j] for c, g in zip(cs, gens)) for j in range(r)])
+            for cs in itertools.product(coefficients, repeat=len(gens))
+        }
+        off = [
+            i
+            for i, image in enumerate(table)
+            if reduced([e - (i == j) for j, e in enumerate(image)]) not in members
+        ]
+        found = generator_off_subgroup(orders, table, gens)
+        assert found in off if off else found is None
 
 
 def test_character_equality_is_phase_equality():

@@ -3,9 +3,8 @@
 One pass over the reflections files each structure constant in a
 per-reflection ledger: free, tied to one of the two one-sided marked
 groups, or forced to vanish (and by which relation).  The dimension is
-then read off the ledger: the free count, plus the two boundary
-indicators counted from the tied entries, less the commuting-pair
-correction and the coboundary direction.
+then read off the ledger: the free count, plus the live components of
+the one-sided marks, less the coboundary direction.
 """
 
 from __future__ import annotations
@@ -33,58 +32,60 @@ ZERO_HYP5 = "zero:order-three-with-shared-mark"
 class ExtResult:
     """Dimension plus the data the closed form was assembled from.
 
-    ``i_lambda_pair`` is the twist-matching set, ``i_lambda_i2`` the
-    reflections whose ledger state is free, and ``per_reflection`` the
-    ledger itself.  ``delta1`` (``delta2``) counts the components of the
-    reflections marked by the first (second) character only, joined
-    along finite-order edges, whose constants are all tied; ``hyp2``
-    says some first-only and second-only marks commute.
+    ``i_lambda_pair`` is the twist-matching set, ``free`` the reflections
+    whose ledger state is free, ``live`` the number of live components of
+    the one-sided marks (see ``_live_components``), and ``per_reflection``
+    the ledger itself.
     """
 
     dimension: int
     case_tag: str
     i_lambda_pair: frozenset[str]
-    i_lambda_i2: frozenset[str]
-    delta1: int
-    delta2: int
-    hyp2: bool
+    free: frozenset[str]
+    live: int
     warnings: tuple[str, ...] = ()
     per_reflection: dict[str, str] = field(default_factory=dict)
 
 
-def _tied_components(
-    cox: AffineCoxeterDatum, group: frozenset[str], ledger: dict[str, str], state: str
+def _live_components(
+    cox: AffineCoxeterDatum,
+    only1: frozenset[str],
+    only2: frozenset[str],
+    ledger: dict[str, str],
 ) -> int:
-    """Components of a one-sided marked group, joined along finite-order
-    edges, whose constants all carry the given tied state.
+    """Components of the one-sided marks whose constants all stay tied.
 
-    Take s, t marked on the first side only, so each generator acts as
-    [[-1, a_s], [0, 0]] (see ``oracle.SymMatrix``).  In a product of such
-    matrices the lower-right zeros kill every off-diagonal term but the
-    last, so the alternating word of length m has off-diagonal
-    (-1)^(m-1) a_u for its last letter u; the braid relation of finite
-    order m therefore reads a_s = a_t.  On the second side the generators
-    are [[0, a_s], [0, -1]], only the first letter survives, and again
-    a_s = a_t.  Infinite order gives no relation.  So the constants of a
-    component are one shared unknown, which lives exactly when no member
-    is killed by the torus relation: each surviving component adds one.
+    Marked on the first side only, a generator acts as [[-1, a_s], [0, 0]]
+    (see ``oracle.SymMatrix``); on the second side only, as
+    [[0, a_s], [0, -1]].  For s, t on the first side the lower-right zeros
+    kill every off-diagonal term of an alternating word but the last, so
+    the word of length m has off-diagonal (-1)^(m-1) a_u for its last
+    letter u, and a braid relation of finite order m reads a_s = a_t.  On
+    the second side only the first letter survives, and again a_s = a_t.
+    For s on the first side and t on the second, st has off-diagonal
+    -(a_s + a_t) and ts = 0, and longer alternating words vanish: order 2
+    reads a_s = -a_t, higher orders and infinite order relate nothing.  So
+    a component of the graph with these edges has one unknown up to sign,
+    which lives exactly when no member is forced to zero.
     """
-    count = 0
-    seen: set[str] = set()
-    for start in group:
-        if start in seen:
-            continue
-        component = {start}
-        stack = [start]
+
+    def joined(s: str, t: str) -> bool:
+        m = cox.order(s, t)
+        return m != INFINITE if (s in only1) == (t in only1) else m == 2
+
+    live = 0
+    unseen = set(only1 | only2)
+    while unseen:
+        stack = [unseen.pop()]
+        alive = True
         while stack:
             s = stack.pop()
-            for t in group - component:
-                if cox.order(s, t) != INFINITE:
-                    component.add(t)
-                    stack.append(t)
-        seen |= component
-        count += all(ledger[s] == state for s in component)
-    return count
+            alive = alive and ledger[s] in (TIED_I1, TIED_I2)
+            near = {t for t in unseen if joined(s, t)}
+            unseen -= near
+            stack.extend(near)
+        live += alive
+    return live
 
 
 def ext_dimension(
@@ -95,8 +96,7 @@ def ext_dimension(
 ) -> ExtResult:
     """Closed-form dimension of the extension space of xi2 by xi1.
 
-    dimension = |free| + delta1 + delta2 - [hyp2 and delta1 + delta2 > 0]
-    - [same torus character, different marked sets].
+    dimension = |free| + live - [same torus character, different marked sets].
     """
     chi1, chi2 = xi1.torus_char, xi2.torus_char
     both = xi1.marked & xi2.marked
@@ -130,9 +130,7 @@ def ext_dimension(
             state = FREE
         ledger[s] = state
     free_set = frozenset(s for s, state in ledger.items() if state == FREE)
-    d1 = _tied_components(cox, only1, ledger, TIED_I1)
-    d2 = _tied_components(cox, only2, ledger, TIED_I2)
-    hyp2 = any(cox.order(s, t) == 2 for s in only1 for t in only2)
+    live = _live_components(cox, only1, only2, ledger)
 
     lam_eq = chi1 == chi2
     marked_eq = xi1.marked == xi2.marked
@@ -147,31 +145,16 @@ def ext_dimension(
         for s, t, m in cox.unverified_orders()
     )
 
-    # a commuting cross pair ties an i1 component to an i2 one; the
-    # coboundary direction lies in the tied span when the characters agree
-    dim = (
-        len(free_set)
-        + d1
-        + d2
-        - (1 if hyp2 and d1 + d2 > 0 else 0)
-        - (1 if lam_eq and not marked_eq else 0)
-    )
-
-    if dim < 0:
-        warnings = warnings + (
-            "closed form produced %d; clamped to 0 (theorem-oracle discrepancy)"
-            % dim,
-        )
-        dim = 0
+    # equal torus characters tie every one-sided mark, and differing marked
+    # sets leave at least one: the coboundary lies in a live component
+    dim = len(free_set) + live - (1 if lam_eq and not marked_eq else 0)
 
     return ExtResult(
         dimension=dim,
         case_tag=case_tag,
         i_lambda_pair=frozenset(matching),
-        i_lambda_i2=free_set,
-        delta1=d1,
-        delta2=d2,
-        hyp2=hyp2,
+        free=free_set,
+        live=live,
         warnings=warnings,
         per_reflection=ledger,
     )

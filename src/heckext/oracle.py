@@ -176,10 +176,6 @@ def kernel_basis(system: ConstraintSystem) -> list[tuple[int, ...]]:
     return basis
 
 
-def kernel_dimension(system: ConstraintSystem) -> int:
-    return len(kernel_basis(system))
-
-
 def in_kernel(system: ConstraintSystem, vec: Sequence[int]) -> bool:
     p = system.prime
     return all(
@@ -215,7 +211,7 @@ def system_ext_dimension(
     xi2: HeckeCharacter,
 ) -> int:
     """``oracle_ext_dimension`` from the pair's already built constraint system."""
-    dim = kernel_dimension(system)
+    dim = len(kernel_basis(system))
     if xi1.torus_char == xi2.torus_char and xi1.marked != xi2.marked:
         cob = coboundary_vector(cox, xi1, xi2, system.prime)
         if not in_kernel(system, cob):

@@ -218,10 +218,6 @@ def twist(datum: TorusDatum, char: Character, s: str) -> Character:
     return Character(tuple(pair(char, row) for row in matrix))
 
 
-def is_trivial_on_subgroup(datum: TorusDatum, char: Character, s: str) -> bool:
-    return all(pair(char, g) == 0 for g in datum.subgroup(s))
-
-
 def c_value(datum: TorusDatum, char: Character, s: str) -> int:
     """Value of the character on the averaged subgroup sum: 1 or 0.
 
@@ -229,7 +225,7 @@ def c_value(datum: TorusDatum, char: Character, s: str) -> int:
     1 on a trivial restriction and 0 otherwise; no root-of-unity sums are
     needed.
     """
-    return 1 if is_trivial_on_subgroup(datum, char, s) else 0
+    return 1 if all(pair(char, g) == 0 for g in datum.subgroup(s)) else 0
 
 
 def s_lambda(datum: TorusDatum, labels: Sequence[str], char: Character) -> frozenset[str]:

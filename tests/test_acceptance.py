@@ -7,7 +7,7 @@ tying lemma: the constants of a one-sided marked group are tied along
 each pair of finite braid order, so they take one value per connected
 component of the group in the finite-order graph, and pairs of infinite
 order tie nothing.  The lemma is derived from the 2x2 braid products of
-``oracle.SymMatrix`` in the docstring of ``formula._tied_components``;
+``oracle.SymMatrix`` in the docstring of ``formula._live_components``;
 this suite builds the components from ``cox.finite_pairs()`` on its own,
 so the check does not lean on the closed form.
 """

@@ -344,3 +344,22 @@ def test_unverified_warning_for_exotic_orders(tmp_path, capsys):
     )
     assert code == 0
     assert "UNVERIFIED" in err
+
+
+def test_order_two_cross_pairs_match_the_oracle(tmp_path, capsys):
+    # trivial torus; m(s0,s1) = 3, m(s1,s2) = m(s2,s3) = 2, all others inf
+    doc = {
+        "name": "chain", "p": 7, "reflections": ["s0", "s1", "s2", "s3"],
+        "coxeter": [[1, 3, 0, 0], [3, 1, 2, 0], [0, 2, 1, 2], [0, 0, 2, 1]],
+        "zk_orders": [1],
+        "actions": {s: [[0]] for s in ("s0", "s1", "s2", "s3")},
+        "subgroups": {s: [[0]] for s in ("s0", "s1", "s2", "s3")},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(
+        capsys, "ext", "--datum", str(path), "--from", "0;s2", "--to", "0;s1,s3",
+        "--oracle", "--strict",
+    )
+    assert code == 0
+    assert "verdict: MATCH" in out

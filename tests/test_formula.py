@@ -50,7 +50,7 @@ def test_hyp345_kills():
     tri = sl_n(3, 2)
     xi1 = make(tri, [0, 0], {"s1"})
     xi2 = make(tri, [0, 0], {"s2", "s3"})
-    assert result(tri, xi1, xi2).i_lambda_i2 == frozenset()
+    assert result(tri, xi1, xi2).free == frozenset()
 
     # 4-cycle: an unmarked constant commuting with a one-sided mark dies
     sq = sl_n(4, 3)
@@ -72,51 +72,52 @@ def test_i_lambda_i2_examples():
     preset = sl2(5)
     xi1 = make(preset, ["1/4"], set())
     xi2 = make(preset, ["3/4"], set())
-    assert result(preset, xi1, xi2).i_lambda_i2 == {"s0", "s1"}
+    assert result(preset, xi1, xi2).free == {"s0", "s1"}
 
     xi1 = make(preset, [0], {"s0"})
     xi2 = make(preset, [0], {"s1"})
-    assert result(preset, xi1, xi2).i_lambda_i2 == frozenset()
+    assert result(preset, xi1, xi2).free == frozenset()
 
     u = u21(2)
     xi1 = make(u, ["1/3", 0], {"s2"})
     xi2 = make(u, ["1/3", 0], set())
-    assert result(u, xi1, xi2).i_lambda_i2 == {"s1"}
+    assert result(u, xi1, xi2).free == {"s1"}
 
 
-def deltas(preset, xi1, xi2):
-    r = result(preset, xi1, xi2)
-    return r.delta1, r.delta2
+def live(preset, xi1, xi2):
+    return result(preset, xi1, xi2).live
 
 
 def test_deltas_examples():
     preset = sl2(5)
     xi_s0 = make(preset, [0], {"s0"})
     xi_s1 = make(preset, [0], {"s1"})
-    assert deltas(preset, xi_s0, xi_s1) == (1, 1)
-    assert deltas(preset, xi_s0, xi_s0) == (0, 0)
+    assert live(preset, xi_s0, xi_s1) == 2
+    assert live(preset, xi_s0, xi_s0) == 0
 
     u = u21(2)
     xi_empty = make(u, ["1/3", 0], set())
     xi_s2 = make(u, ["1/3", 0], {"s2"})
-    assert deltas(u, xi_empty, xi_s2) == (0, 1)
+    assert live(u, xi_empty, xi_s2) == 1
 
 
 def test_hyp2_applies():
+    # opposite nodes commute: the order-2 cross pair joins s1 and s3
     sq = sl_n(4, 2)
     xi1 = make(sq, [0, 0, 0], {"s1"})
     xi2 = make(sq, [0, 0, 0], {"s3"})
-    assert result(sq, xi1, xi2).hyp2  # opposite nodes commute
+    assert live(sq, xi1, xi2) == 1
 
+    # order-3 cross pairs relate nothing: {s1} and {s2, s3} stay apart
     tri = sl_n(3, 2)
     xi1 = make(tri, [0, 0], {"s1"})
     xi2 = make(tri, [0, 0], {"s2", "s3"})
-    assert not result(tri, xi1, xi2).hyp2
+    assert live(tri, xi1, xi2) == 2
 
     pair = sl2(5)
     xi1 = make(pair, [0], {"s0"})
     xi2 = make(pair, [0], {"s1"})
-    assert not result(pair, xi1, xi2).hyp2
+    assert live(pair, xi1, xi2) == 2
 
 
 def dim(preset, xi1, xi2):
@@ -192,13 +193,13 @@ def test_result_carries_ledger_for_every_reflection():
 
 
 def test_commuting_pair_correction_needs_a_tied_component():
-    # regression: hyp2 holds but neither marked group survives the torus
-    # relation, so there is nothing to correct
+    # regression: the marks commute but neither survives the torus
+    # relation, so their joined component is not live
     sq = sl_n(4, 3)
     xi1 = make(sq, [0, 0, "1/2"], {"s1"})
     xi2 = make(sq, [0, "1/2", 0], {"s3"})
     r = result(sq, xi1, xi2)
-    assert r.hyp2 and (r.delta1, r.delta2) == (0, 0)
+    assert r.live == 0
     assert r.dimension == 1
     assert not r.warnings
 
@@ -208,12 +209,35 @@ def test_deltas_count_components_along_finite_orders():
     preset = sl2(5)
     trivial = make(preset, [0], set())
     sign = make(preset, [0], {"s0", "s1"})
-    assert deltas(preset, trivial, sign) == (0, 2)
-    assert deltas(preset, sign, trivial) == (2, 0)
+    assert live(preset, trivial, sign) == 2
+    assert live(preset, sign, trivial) == 2
     assert dim(preset, trivial, sign) == 1
 
     # order 3: the two marks form one tied component
     tri = sl_n(3, 2)
     xi1 = make(tri, [0, 0], set())
     xi2 = make(tri, [0, 0], {"s1", "s2"})
-    assert deltas(tri, xi1, xi2) == (0, 1)
+    assert live(tri, xi1, xi2) == 1
+
+
+def witness_datum():
+    """Trivial torus, p = 7, s0..s3 with m(s0,s1) = 3, m(s1,s2) = m(s2,s3) = 2."""
+    from heckext.coxeter import from_int_matrix
+    from heckext.torus import TorusDatum
+
+    labels = ("s0", "s1", "s2", "s3")
+    matrix = [[1, 3, 0, 0], [3, 1, 2, 0], [0, 2, 1, 2], [0, 0, 2, 1]]
+    zero = {s: ((0,),) for s in labels}
+    return TorusDatum(7, (1,), zero, zero), from_int_matrix(labels, matrix)
+
+
+def test_cross_pairs_of_order_two_join_one_component():
+    # s1 - s2 - s3 is one component through two order-2 cross pairs; one
+    # unknown, spanned by the coboundary
+    torus, cox = witness_datum()
+    chi = trivial_character(torus)
+    xi1 = hecke_character(torus, cox, chi, {"s2"})
+    xi2 = hecke_character(torus, cox, chi, {"s1", "s3"})
+    r = ext_dimension(torus, cox, xi1, xi2)
+    assert r.live == 1
+    assert r.dimension == 0

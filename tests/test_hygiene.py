@@ -1,4 +1,5 @@
-"""Source hygiene that no installed linter checks: unused module imports."""
+"""Source hygiene that no installed linter checks: unused module imports and
+module-private names the module never reads."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,14 @@ from pathlib import Path
 import heckext
 
 SOURCE = Path(heckext.__file__).parent
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def unused_imports(source: str) -> list[str]:
@@ -21,8 +30,30 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 bound.append((alias.asname or alias.name).split(".")[0])
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = read_names(tree)
     return [name for name in bound if name not in used]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Top-level ``_name`` functions, classes and constants the module never reads.
+
+    Dunder names such as ``__all__`` are read by the import system, not by
+    the module, and are skipped.
+    """
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    used = read_names(tree)
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
 
 
 def test_unused_imports_are_detected():
@@ -31,11 +62,29 @@ def test_unused_imports_are_detected():
     assert unused_imports("import os.path\nos.path.join()\n") == []
 
 
+def test_unread_private_names_are_detected():
+    source = (
+        "__all__ = []\n_A = 1\n_B: int = 2\nPUBLIC = _A\n"
+        "def _f():\n    return _g()\n"
+        "def _g():\n    pass\n"
+        "class _C:\n    _hidden = 3\n"
+    )
+    assert unread_private_names(source) == ["_B", "_f", "_C"]
+
+
 def test_no_unused_module_imports():
     # __init__.py imports names to re-export them
     found = {
         path.name: unused_imports(path.read_text())
         for path in sorted(SOURCE.glob("*.py"))
         if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_unread_private_names():
+    found = {
+        path.name: unread_private_names(path.read_text())
+        for path in sorted(SOURCE.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}

@@ -12,7 +12,6 @@ from heckext.oracle import (
     generator_matrix,
     in_kernel,
     kernel_basis,
-    kernel_dimension,
     oracle_ext_dimension,
     torus_kill_set,
     verify_solution,
@@ -94,13 +93,13 @@ def test_braid_rows_match_numeric_products():
 
 def test_kernel_dimension_basics():
     empty = ConstraintSystem(("a", "b", "c"), (), 5)
-    assert kernel_dimension(empty) == 3
+    assert len(kernel_basis(empty)) == 3
     units = ConstraintSystem(
         ("a", "b"), (((1, 0), "u0"), ((0, 1), "u1")), 5
     )
-    assert kernel_dimension(units) == 0
+    assert len(kernel_basis(units)) == 0
     single = ConstraintSystem(("a", "b"), (((1, 1), "r"),), 2)
-    assert kernel_dimension(single) == 1
+    assert len(kernel_basis(single)) == 1
     assert kernel_basis(single) == [(1, 1)]
 
 
@@ -133,7 +132,7 @@ def test_oracle_commuting_tied_pair_quotients_to_zero():
     xi1 = make(preset, [0, 0, 0], {"s1"})
     xi2 = make(preset, [0, 0, 0], {"s3"})
     system = build_system(preset.torus, preset.coxeter, xi1, xi2)
-    assert kernel_dimension(system) == 1
+    assert len(kernel_basis(system)) == 1
     assert (
         oracle_ext_dimension(preset.torus, preset.coxeter, xi1, xi2) == 0
     )
@@ -193,4 +192,4 @@ def test_row_order_invariance():
         reversed_system = ConstraintSystem(
             system.unknowns, tuple(reversed(system.rows)), system.prime
         )
-        assert kernel_dimension(system) == kernel_dimension(reversed_system)
+        assert len(kernel_basis(system)) == len(kernel_basis(reversed_system))

@@ -1,15 +1,25 @@
 """Property-based checks of the algebraic identities."""
 
 import itertools
+import math
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from heckext.coxeter import from_int_matrix
+from heckext.document import dump_document, parse_document
 from heckext.formula import ext_dimension
 from heckext.hecke import enumerate_hecke_characters, format_spec, parse_spec
-from heckext.oracle import ConstraintSystem, build_system, in_kernel, kernel_basis
+from heckext.oracle import (
+    ConstraintSystem,
+    build_system,
+    in_kernel,
+    kernel_basis,
+    system_ext_dimension,
+    verify_solution,
+)
 from heckext.presets import sl2, sl_n, u11, u21
-from heckext.torus import enumerate_characters, pair, twist
+from heckext.torus import TorusDatum, TorusError, enumerate_characters, pair, twist
 
 PRESETS = [sl2(5), sl2(7), sl_n(3, 2), sl_n(3, 3), u11(2), u11(3), u21(2)]
 
@@ -76,9 +86,8 @@ def test_formula_outputs_are_well_formed(data):
     preset, xi1, xi2 = data
     result = ext_dimension(preset.torus, preset.coxeter, xi1, xi2)
     assert result.dimension >= 0
-    assert 0 <= result.delta1 <= len(xi1.marked - xi2.marked)
-    assert 0 <= result.delta2 <= len(xi2.marked - xi1.marked)
-    assert result.i_lambda_i2 <= result.i_lambda_pair
+    assert 0 <= result.live <= len(xi1.marked ^ xi2.marked)
+    assert result.free <= result.i_lambda_pair
     assert set(result.per_reflection) == set(preset.coxeter.labels)
 
 
@@ -98,3 +107,81 @@ def test_empty_matching_set_means_zero_both_engines(data):
 def test_spec_round_trip(data):
     preset, xi, _ = data
     assert parse_spec(preset.torus, preset.coxeter, format_spec(xi)) == xi
+
+
+def build_datum(p, zk_orders, order_table, actions):
+    """Torus and Coxeter datums for reflections s0, s1, ...
+
+    ``order_table`` is an integer matrix with 0 for infinite order.  Each
+    entry of ``actions`` is either a multiplier m, for the action g -> m*g
+    with subgroup generated by the (m - 1)*e_i, or ``"swap"``, for the
+    coordinate swap with subgroup generated by (1, -1).  Raises
+    ``TorusError`` when the torus datum is invalid.
+    """
+    labels = tuple("s%d" % i for i in range(len(actions)))
+    rank = len(zk_orders)
+    tables, subgroups = {}, {}
+    for s, m in zip(labels, actions):
+        if m == "swap":
+            tables[s] = ((0, 1), (1, 0))
+            subgroups[s] = ((1, -1 % zk_orders[1]),)
+        else:
+            tables[s] = tuple(
+                tuple(m % d if j == i else 0 for j in range(rank))
+                for i, d in enumerate(zk_orders)
+            )
+            subgroups[s] = tuple(
+                tuple((m - 1) % d if j == i else 0 for j in range(rank))
+                for i, d in enumerate(zk_orders)
+            )
+    torus = TorusDatum(p, tuple(zk_orders), tables, subgroups)
+    return torus, from_int_matrix(labels, order_table)
+
+
+@st.composite
+def random_datum(draw):
+    """A datum of rank 1-2 and 2-4 reflections, with at most 32 characters."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    orders = [d for d in range(1, 7) if math.gcd(d, p) == 1]
+    zk_orders = draw(st.lists(st.sampled_from(orders), min_size=1, max_size=2))
+    n = draw(st.integers(2, 4))
+    table = [[1] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        table[i][j] = table[j][i] = draw(st.sampled_from((2, 3, 4, 6, 0)))
+    lcm = math.lcm(*zk_orders)
+    units = [m for m in range(lcm) if m * m % lcm == 1 % lcm]
+    kinds = st.sampled_from(units)
+    if len(zk_orders) == 2:
+        kinds = kinds | st.just("swap")
+    actions = draw(st.lists(kinds, min_size=n, max_size=n))
+    try:
+        datum = build_datum(p, zk_orders, table, actions)
+    except TorusError:
+        assume(False)
+    assume(len(enumerate_hecke_characters(*datum)) <= 32)
+    return datum
+
+
+# closed form 1, oracle 0 before order-2 cross pairs joined components
+WITNESS = build_datum(
+    7, (1,), [[1, 3, 0, 0], [3, 1, 2, 0], [0, 2, 1, 2], [0, 0, 2, 1]], (1,) * 4
+)
+
+
+@given(random_datum())
+@example(WITNESS)
+@settings(max_examples=20, deadline=None)
+def test_engines_agree_on_random_datums(data):
+    torus, cox = data
+    parsed = parse_document(dump_document("random", cox, torus))
+    assert (parsed.torus, parsed.coxeter) == (torus, cox)
+    chars = enumerate_hecke_characters(torus, cox)
+    for xi1, xi2 in itertools.product(chars, repeat=2):
+        closed = ext_dimension(torus, cox, xi1, xi2).dimension
+        system = build_system(torus, cox, xi1, xi2)
+        pair_spec = (format_spec(xi1), format_spec(xi2))
+        assert closed == system_ext_dimension(system, cox, xi1, xi2), pair_spec
+        assert closed >= 0, pair_spec
+        for vector in kernel_basis(system):
+            assignment = dict(zip(system.unknowns, vector))
+            assert verify_solution(torus, cox, xi1, xi2, assignment), pair_spec

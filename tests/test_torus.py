@@ -18,7 +18,6 @@ from heckext.torus import (
     character,
     enumerate_characters,
     generator_off_subgroup,
-    is_trivial_on_subgroup,
     pair,
     s_lambda,
     trivial_character,
@@ -71,16 +70,16 @@ def test_twist_is_involutive_everywhere():
 
 def test_subgroup_triviality():
     torus = sl2(5).torus
-    assert is_trivial_on_subgroup(torus, trivial_character(torus), "s0")
+    assert c_value(torus, trivial_character(torus), "s0") == 1
     # rank-one subgroup at s0 is the whole cyclic group
-    assert not is_trivial_on_subgroup(torus, chi(torus, "1/4"), "s0")
+    assert c_value(torus, chi(torus, "1/4"), "s0") == 0
 
 
 def test_subgroup_triviality_u21_hybrid():
     torus = u21(2).torus
     hybrid = chi(torus, "1/3", 0)
-    assert is_trivial_on_subgroup(torus, hybrid, "s2")
-    assert not is_trivial_on_subgroup(torus, hybrid, "s1")
+    assert c_value(torus, hybrid, "s2") == 1
+    assert c_value(torus, hybrid, "s1") == 0
 
 
 def _subgroup_elements(torus, s):

@@ -53,6 +53,10 @@ EXIT_BOUND = 3
 EXIT_MISMATCH = 4
 
 TSV_HEADER = "# heckext-table v1\n# columns: from\tto\tdimension"
+BOUND_HELP = (
+    "largest torus group order to enumerate (default %(default)s); "
+    "a larger group exits 3"
+)
 TSV_HEADER_ORACLE = (
     "# heckext-table v1\n# columns: from\tto\tdimension\toracle\tverdict"
 )
@@ -181,13 +185,8 @@ def cmd_table(args) -> int:
         include_non_ss=not args.supersingular_only,
         bound=args.bound,
     )
-    if args.format == "dot":
-        sys.stdout.write(to_dot(quiver))
-        return EXIT_OK
     exit_code = EXIT_OK
-    lines = []
     if args.oracle:
-        lines.append(TSV_HEADER_ORACLE)
         # compare the engines on every pair that is nonzero for either
         other = build_quiver(
             torus,
@@ -196,13 +195,19 @@ def cmd_table(args) -> int:
             include_non_ss=not args.supersingular_only,
             bound=args.bound,
         )
-        keys = sorted(set(quiver.edges) | set(other.edges))
-        for i, j in keys:
-            d_oracle = quiver.edges.get((i, j), 0)
-            d_formula = other.edges.get((i, j), 0)
-            verdict = "MATCH" if d_oracle == d_formula else "MISMATCH"
-            if verdict == "MISMATCH" and args.strict:
-                exit_code = EXIT_MISMATCH
+        compared = [
+            (i, j, other.edges.get((i, j), 0), quiver.edges.get((i, j), 0))
+            for i, j in sorted(set(quiver.edges) | set(other.edges))
+        ]
+        if args.strict and any(f != o for _, _, f, o in compared):
+            exit_code = EXIT_MISMATCH
+    if args.format == "dot":
+        sys.stdout.write(to_dot(quiver))
+        return exit_code
+    lines = []
+    if args.oracle:
+        lines.append(TSV_HEADER_ORACLE)
+        for i, j, d_formula, d_oracle in compared:
             lines.append(
                 "%s\t%s\t%d\t%d\t%s"
                 % (
@@ -210,7 +215,7 @@ def cmd_table(args) -> int:
                     format_spec(quiver.nodes[j]),
                     d_formula,
                     d_oracle,
-                    verdict,
+                    "MATCH" if d_oracle == d_formula else "MISMATCH",
                 )
             )
     else:
@@ -300,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--format", choices=("tsv", "dot"), default="tsv")
     p_table.add_argument("--strict", action="store_true")
-    p_table.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
+    p_table.add_argument(
+        "--bound", type=int, default=DEFAULT_ENUMERATION_BOUND, help=BOUND_HELP
+    )
 
     p_blocks = subs.add_parser("blocks", help="block decomposition report")
     _add_datum_options(p_blocks)
@@ -308,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare-l-packets", action="store_true",
         help="also print diagram orbits and the comparison verdict",
     )
-    p_blocks.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
+    p_blocks.add_argument(
+        "--bound", type=int, default=DEFAULT_ENUMERATION_BOUND, help=BOUND_HELP
+    )
     return parser
 
 

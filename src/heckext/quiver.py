@@ -17,6 +17,7 @@ from .torus import (
     compose_exponent_maps,
     identity_map,
     pair,
+    twist,
     undefined_generator,
     vectors_equal,
 )
@@ -122,7 +123,16 @@ def build_quiver(
     include_non_ss: bool = False,
     bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> ExtQuiver:
-    """All ordered pairs with nonzero extension dimension."""
+    """All ordered pairs with nonzero extension dimension.
+
+    Only pairs whose second torus character is a twist of the first by
+    some reflection are evaluated.  Any other pair has dimension 0 in
+    both engines: the torus commutation relation kills every structure
+    constant, and no coboundary is subtracted.  A marked reflection fixes
+    its torus character (s(g) - g lies in the subgroup the character is
+    trivial on), so equal torus characters that no reflection fixes both
+    carry the empty marked set.
+    """
     if engine not in ("formula", "oracle"):
         raise QuiverError("engine must be 'formula' or 'oracle'")
     nodes = tuple(
@@ -130,9 +140,14 @@ def build_quiver(
             datum, cox, only_supersingular=not include_non_ss, bound=bound
         )
     )
+    by_char: dict[Character, list[int]] = {}
+    for j, xi in enumerate(nodes):
+        by_char.setdefault(xi.torus_char, []).append(j)
     edges: dict[tuple[int, int], int] = {}
     for i, xi1 in enumerate(nodes):
-        for j, xi2 in enumerate(nodes):
+        twisted = {twist(datum, xi1.torus_char, s) for s in cox.labels}
+        for j in sorted(j for chi in twisted for j in by_char.get(chi, ())):
+            xi2 = nodes[j]
             if engine == "formula":
                 dim = ext_dimension(datum, cox, xi1, xi2).dimension
             else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -44,6 +44,10 @@ class TorusDatum:
     orders: tuple[int, ...]
     actions: Mapping[str, tuple[Vector, ...]]
     subgroups: Mapping[str, tuple[Vector, ...]]
+    # per torus character: reflection -> (twist, c value), see _character_row
+    _table: dict[Character, dict[str, tuple[Character, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         p = self.residue_char
@@ -212,10 +216,31 @@ def pair(char: Character, vector: Sequence[int]) -> Fraction:
     return sum((x * ph for x, ph in zip(vector, char.phases)), Fraction(0)) % 1
 
 
+def _character_row(datum: TorusDatum, char: Character, s: str) -> tuple[Character, int]:
+    """Twist of ``char`` by s and its c value at s.
+
+    The first lookup of a character computes its twists and c values at
+    every reflection and keeps them in the datum's table, keyed by the
+    character's value, so each pairing is done once per datum.
+    """
+    row = datum._table.get(char)
+    if row is None:
+        row = datum._table[char] = {
+            t: (
+                Character(tuple(pair(char, image) for image in datum.actions[t])),
+                1 if all(pair(char, g) == 0 for g in gens) else 0,
+            )
+            for t, gens in datum.subgroups.items()
+        }
+    try:
+        return row[s]
+    except KeyError:
+        raise TorusError("unknown reflection %r" % s) from None
+
+
 def twist(datum: TorusDatum, char: Character, s: str) -> Character:
     """The character g -> char(conjugate of g by s)."""
-    matrix = datum.action(s)
-    return Character(tuple(pair(char, row) for row in matrix))
+    return _character_row(datum, char, s)[0]
 
 
 def c_value(datum: TorusDatum, char: Character, s: str) -> int:
@@ -225,7 +250,7 @@ def c_value(datum: TorusDatum, char: Character, s: str) -> int:
     1 on a trivial restriction and 0 otherwise; no root-of-unity sums are
     needed.
     """
-    return 1 if all(pair(char, g) == 0 for g in datum.subgroup(s)) else 0
+    return _character_row(datum, char, s)[1]
 
 
 def s_lambda(datum: TorusDatum, labels: Sequence[str], char: Character) -> frozenset[str]:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from heckext import cli
+from heckext import cli, quiver
 from heckext.cli import main
 from heckext.document import dump_document
 from heckext.presets import sl2
@@ -234,6 +234,24 @@ def test_ext_strict_mismatch_exit_code(capsys, monkeypatch):
     )
     assert code == 4
     assert "MISMATCH" in out
+
+
+def test_table_strict_mismatch_exit_code_for_both_formats(capsys, monkeypatch):
+    argv = ("table", "--preset", "sl2:5", "--oracle", "--strict")
+    code, dot, _ = run(capsys, *argv, "--format", "dot")
+    assert code == 0
+    real = quiver.ext_dimension
+
+    def off_by_one(*args):
+        result = real(*args)
+        return dataclasses.replace(result, dimension=result.dimension + 1)
+
+    monkeypatch.setattr(quiver, "ext_dimension", off_by_one)
+    code, out, _ = run(capsys, *argv)
+    assert code == 4
+    assert "MISMATCH" in out
+    # the DOT output draws the oracle's quiver, so only the exit code moves
+    assert run(capsys, *argv, "--format", "dot") == (4, dot, "")
 
 
 def test_table_tsv(capsys):

@@ -1,9 +1,15 @@
 """Quiver construction, blocks, diagram orbits, partition comparison."""
 
-import pytest
+import itertools
 
-from heckext.hecke import format_spec, hecke_character
-from heckext.presets import sl2, sl_n, u11, u21
+import pytest
+from hypothesis import given, settings
+
+from heckext import quiver as quiver_module
+from heckext.formula import ext_dimension
+from heckext.hecke import enumerate_hecke_characters, format_spec, hecke_character
+from heckext.oracle import oracle_ext_dimension
+from heckext.presets import build_preset, sl2, sl_n, u11, u21
 from heckext.quiver import (
     ExtQuiver,
     QuiverError,
@@ -17,6 +23,12 @@ from heckext.quiver import (
     DiagramAutomorphism,
 )
 from heckext.torus import character, trivial_character, twist
+from test_properties import random_datum
+
+ENGINES = {
+    "formula": lambda *args: ext_dimension(*args).dimension,
+    "oracle": oracle_ext_dimension,
+}
 
 
 def spec_edges(preset, quiver):
@@ -213,3 +225,57 @@ def test_to_dot_output():
     assert "subgraph cluster_0" in clustered
     # deterministic
     assert to_dot(quiver) == dot
+
+
+def assert_edges_equal_dense_loop(torus, cox):
+    """``build_quiver`` against a loop over every ordered pair, per engine."""
+    for engine, include_non_ss in itertools.product(ENGINES, (False, True)):
+        nodes = enumerate_hecke_characters(
+            torus, cox, only_supersingular=not include_non_ss
+        )
+        dense = {}
+        for (i, xi1), (j, xi2) in itertools.product(enumerate(nodes), repeat=2):
+            dim = ENGINES[engine](torus, cox, xi1, xi2)
+            if dim != 0:
+                dense[(i, j)] = dim
+        sparse = build_quiver(
+            torus, cox, engine=engine, include_non_ss=include_non_ss
+        )
+        assert sparse.nodes == tuple(nodes)
+        assert list(sparse.edges.items()) == list(dense.items()), (
+            engine,
+            include_non_ss,
+        )
+
+
+@pytest.mark.parametrize(
+    "spec", ["sl2:5", "sl2:7", "u11:3", "u21:3", "sl_n:3:3", "sl_n:4:3"]
+)
+def test_edges_equal_dense_loop_on_presets(spec):
+    preset = build_preset(spec)
+    assert_edges_equal_dense_loop(preset.torus, preset.coxeter)
+
+
+@given(random_datum())
+@settings(max_examples=10, deadline=None)
+def test_edges_equal_dense_loop_on_random_datums(datum):
+    assert_edges_equal_dense_loop(*datum)
+
+
+@pytest.mark.parametrize(
+    "spec, nodes, calls", [("u21:4", 110, 210), ("sl_n:4:3", 41, 496)]
+)
+def test_only_twist_related_pairs_are_evaluated(monkeypatch, spec, nodes, calls):
+    # a loop over every ordered pair would make nodes**2 calls: 12,100 and 1,681
+    preset = build_preset(spec)
+    real = quiver_module.ext_dimension
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quiver_module, "ext_dimension", counting)
+    quiver = build_quiver(preset.torus, preset.coxeter, include_non_ss=True)
+    assert len(quiver.nodes) == nodes
+    assert len(counted) == calls

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from heckext.presets import sl2, u11, u21
+from heckext import torus as torus_module
+from heckext.presets import build_preset, sl2, u11, u21
 from heckext.torus import (
     Character,
     EnumerationBoundError,
@@ -213,3 +214,60 @@ def test_character_equality_is_phase_equality():
     torus = sl2(5).torus
     assert Character((Fraction(1, 4),)) == chi(torus, "1/4")
     assert chi(torus, "1/4") != chi(torus, "3/4")
+
+
+@pytest.mark.parametrize(
+    "spec", ["sl2:5", "u11:3", "u21:3", "sl_n:3:3", "sl_n:4:3", "sl_n:5:2"]
+)
+def test_twist_and_c_value_match_direct_pairing(spec):
+    preset = build_preset(spec)
+    torus = preset.torus
+    for ch in enumerate_characters(torus):
+        for s in preset.coxeter.labels:
+            direct = Character(tuple(pair(ch, row) for row in torus.action(s)))
+            trivial = all(pair(ch, g) == 0 for g in torus.subgroup(s))
+            assert twist(torus, ch, s) == direct
+            assert c_value(torus, ch, s) == (1 if trivial else 0)
+
+
+def test_each_character_is_paired_once_per_datum(monkeypatch):
+    torus = u21(3).torus
+    calls = []
+    real = torus_module.pair
+
+    def counting(char, vector):
+        calls.append(char)
+        return real(char, vector)
+
+    monkeypatch.setattr(torus_module, "pair", counting)
+    ch = chi(torus, "1/4", "1/2")
+    labels = sorted(torus.actions)
+    first = [(twist(torus, ch, s), c_value(torus, ch, s)) for s in labels]
+    paired = len(calls)
+    assert paired > 0
+    again = [(twist(torus, ch, s), c_value(torus, ch, s)) for s in labels]
+    s_lambda(torus, labels, ch)
+    assert again == first and len(calls) == paired
+    # an equal character value reads the same entries
+    twist(torus, Character(ch.phases), labels[0])
+    assert len(calls) == paired
+
+
+def test_datums_with_equal_orders_keep_separate_entries():
+    # same orders, different actions: identity versus inversion on Z/4
+    fixed = TorusDatum(5, (4,), {"s": ((1,),)}, {"s": ((0,),)})
+    inverted = TorusDatum(5, (4,), {"s": ((3,),)}, {"s": ((2,),)})
+    ch = chi(fixed, "1/4")
+    assert twist(fixed, ch, "s") == ch
+    assert c_value(fixed, ch, "s") == 1
+    assert twist(inverted, ch, "s") == chi(inverted, "3/4")
+    assert c_value(inverted, ch, "s") == 0
+    assert twist(fixed, ch, "s") == ch
+
+
+def test_unknown_reflection_is_rejected():
+    torus = sl2(5).torus
+    ch = chi(torus, "1/4")
+    for lookup in (twist, c_value):
+        with pytest.raises(TorusError, match="unknown reflection 'x'"):
+            lookup(torus, ch, "x")

@@ -57,6 +57,7 @@ BOUND_HELP = (
     "largest torus group order to enumerate (default %(default)s); "
     "a larger group exits 3"
 )
+STRICT_HELP = "with --oracle, exit 4 when the engines disagree"
 TSV_HEADER_ORACLE = (
     "# heckext-table v1\n# columns: from\tto\tdimension\toracle\tverdict"
 )
@@ -98,19 +99,6 @@ def _load_context(args) -> tuple[str, AffineCoxeterDatum, TorusDatum, tuple]:
     raise CliError("one of --preset or --datum is required")
 
 
-def _warn_unverified(cox: AffineCoxeterDatum, strict: bool) -> bool:
-    """Print the warning for exotic finite orders; return True when --strict
-    must fall back to the oracle."""
-    unverified = cox.unverified_orders()
-    for s, t, m in unverified:
-        print(
-            "UNVERIFIED: coxeter order m(%s,%s)=%d is outside {2,3,inf}; "
-            "the closed form is not vetted there" % (s, t, m),
-            file=sys.stderr,
-        )
-    return strict and bool(unverified)
-
-
 def cmd_presets(args) -> int:
     if args.action == "list":
         for name in sorted(PRESET_BUILDERS):
@@ -142,24 +130,23 @@ def cmd_validate(args) -> int:
 
 def cmd_ext(args) -> int:
     name, cox, torus, _ = _load_context(args)
-    force_oracle = _warn_unverified(cox, args.strict)
     xi1 = parse_spec(torus, cox, getattr(args, "from"))
     xi2 = parse_spec(torus, cox, args.to)
     result = ext_dimension(torus, cox, xi1, xi2)
-    use_oracle = args.oracle or force_oracle
     print("datum: %s" % name)
     print("from: %s" % format_spec(xi1))
     print("to:   %s" % format_spec(xi2))
-    print("case: %s" % result.case_tag)
-    for w in result.warnings:
-        print("warning: %s" % w)
+    print("case: %s-torus-char/%s-marked-set" % (
+        "same" if xi1.torus_char == xi2.torus_char else "distinct",
+        "same" if xi1.marked == xi2.marked else "distinct",
+    ))
     print("dimension (closed form): %d" % result.dimension)
     for s in cox.labels:
         print("  %s: %s" % (s, result.per_reflection[s]))
     exit_code = EXIT_OK
-    if use_oracle or args.explain:
+    if args.oracle or args.explain:
         system = build_system(torus, cox, xi1, xi2)
-    if use_oracle:
+    if args.oracle:
         oracle_dim = system_ext_dimension(system, cox, xi1, xi2)
         verdict = "MATCH" if oracle_dim == result.dimension else "MISMATCH"
         print("dimension (oracle):      %d" % oracle_dim)
@@ -177,11 +164,10 @@ def cmd_ext(args) -> int:
 
 def cmd_table(args) -> int:
     name, cox, torus, _ = _load_context(args)
-    force_oracle = _warn_unverified(cox, args.strict)
     quiver = build_quiver(
         torus,
         cox,
-        engine="oracle" if (args.oracle or force_oracle) else "formula",
+        engine="oracle" if args.oracle else "formula",
         include_non_ss=not args.supersingular_only,
         bound=args.bound,
     )
@@ -235,7 +221,6 @@ def cmd_table(args) -> int:
 
 def cmd_blocks(args) -> int:
     name, cox, torus, autos = _load_context(args)
-    _warn_unverified(cox, strict=False)
     quiver = build_quiver(torus, cox, engine="formula", bound=args.bound)
     block_partition = blocks(quiver)
     print("datum: %s" % name)
@@ -283,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_show.add_argument("--json", action="store_true", help="emit the JSON document")
 
     p_validate = subs.add_parser("validate", help="validate a JSON datum")
-    p_validate.add_argument("path")
+    p_validate.add_argument("path", help="path to a JSON group-datum document")
 
     p_ext = subs.add_parser("ext", help="dimension for one ordered pair")
     _add_datum_options(p_ext)
@@ -291,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--to", required=True, help='character spec "phases;marks"')
     p_ext.add_argument("--oracle", action="store_true", help="also run the oracle")
     p_ext.add_argument("--explain", action="store_true", help="dump constraint rows")
-    p_ext.add_argument(
-        "--strict", action="store_true",
-        help="exit 4 on engine mismatch; force the oracle on exotic orders",
-    )
+    p_ext.add_argument("--strict", action="store_true", help=STRICT_HELP)
 
     p_table = subs.add_parser("table", help="all nonzero ordered pairs")
     _add_datum_options(p_table)
@@ -303,8 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--supersingular-only", action="store_true",
         help="restrict nodes to supersingular characters",
     )
-    p_table.add_argument("--format", choices=("tsv", "dot"), default="tsv")
-    p_table.add_argument("--strict", action="store_true")
+    p_table.add_argument(
+        "--format", choices=("tsv", "dot"), default="tsv",
+        help="TSV rows or a Graphviz DOT digraph (default %(default)s)",
+    )
+    p_table.add_argument("--strict", action="store_true", help=STRICT_HELP)
     p_table.add_argument(
         "--bound", type=int, default=DEFAULT_ENUMERATION_BOUND, help=BOUND_HELP
     )

@@ -29,7 +29,8 @@ class AffineCoxeterDatum:
 
     ``orders[i][j]`` is the order of the product of reflections ``labels[i]``
     and ``labels[j]``; diagonal entries are 1, off-diagonal entries are
-    integers >= 2 or :data:`INFINITE`.
+    2, 3, 4, 6 or :data:`INFINITE`.  The affine Weyl group of a connected
+    reductive group is crystallographic, so no other finite order occurs.
     """
 
     labels: tuple[str, ...]
@@ -57,9 +58,9 @@ class AffineCoxeterDatum:
                         "order table is not symmetric at (%s, %s)"
                         % (self.labels[i], self.labels[j])
                     )
-                if m != INFINITE and (not isinstance(m, int) or m < 2):
+                if m != INFINITE and (not isinstance(m, int) or m not in (2, 3, 4, 6)):
                     raise CoxeterError(
-                        "m(%s, %s) must be an integer >= 2 or infinite"
+                        "m(%s, %s) must be 2, 3, 4, 6 or infinite (crystallographic)"
                         % (self.labels[i], self.labels[j])
                     )
 
@@ -85,14 +86,6 @@ class AffineCoxeterDatum:
                 if m != INFINITE:
                     out.append((s, self.labels[j], int(m)))
         return out
-
-    def unverified_orders(self) -> list[tuple[str, str, int]]:
-        """Finite pairwise orders outside {2, 3}.
-
-        The closed-form dimension count is only vetted for orders 2, 3 and
-        infinity; callers attach a warning for anything else.
-        """
-        return [(s, t, m) for s, t, m in self.finite_pairs() if m not in (2, 3)]
 
 
 def from_int_matrix(labels: Sequence[str], matrix: Sequence[Sequence[int]]) -> AffineCoxeterDatum:

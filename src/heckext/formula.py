@@ -39,11 +39,9 @@ class ExtResult:
     """
 
     dimension: int
-    case_tag: str
     i_lambda_pair: frozenset[str]
     free: frozenset[str]
     live: int
-    warnings: tuple[str, ...] = ()
     per_reflection: dict[str, str] = field(default_factory=dict)
 
 
@@ -132,29 +130,15 @@ def ext_dimension(
     free_set = frozenset(s for s, state in ledger.items() if state == FREE)
     live = _live_components(cox, only1, only2, ledger)
 
-    lam_eq = chi1 == chi2
-    marked_eq = xi1.marked == xi2.marked
-    case_tag = "%s-torus-char/%s-marked-set" % (
-        "same" if lam_eq else "distinct",
-        "same" if marked_eq else "distinct",
-    )
-
-    warnings = tuple(
-        "coxeter order m(%s,%s)=%d outside {2,3,inf}; closed form unverified"
-        % (s, t, m)
-        for s, t, m in cox.unverified_orders()
-    )
-
     # equal torus characters tie every one-sided mark, and differing marked
     # sets leave at least one: the coboundary lies in a live component
-    dim = len(free_set) + live - (1 if lam_eq and not marked_eq else 0)
+    coboundary = chi1 == chi2 and xi1.marked != xi2.marked
+    dim = len(free_set) + live - (1 if coboundary else 0)
 
     return ExtResult(
         dimension=dim,
-        case_tag=case_tag,
         i_lambda_pair=frozenset(matching),
         free=free_set,
         live=live,
-        warnings=warnings,
         per_reflection=ledger,
     )

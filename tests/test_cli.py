@@ -347,21 +347,43 @@ def test_table_output_is_byte_deterministic():
     assert first.stdout == second.stdout
 
 
-def test_unverified_warning_for_exotic_orders(tmp_path, capsys):
-    from heckext.coxeter import AffineCoxeterDatum
-    from heckext.torus import TorusDatum
-
-    cox = AffineCoxeterDatum(("a", "b"), ((1, 4), (4, 1)))
-    torus = TorusDatum(
-        5, (1,), {"a": ((0,),), "b": ((0,),)}, {"a": ((0,),), "b": ((0,),)}
-    )
-    path = tmp_path / "exotic.json"
-    path.write_text(dump_document("exotic", cox, torus))
+def test_orders_four_and_six_run_silently_and_five_is_invalid(tmp_path, capsys):
+    # affine C2 at q = 3: torus (Z/2)^2, where every inversion is trivial
+    c2 = {
+        "name": "c2", "p": 3, "reflections": ["s0", "s1", "s2"],
+        "coxeter": [[1, 4, 2], [4, 1, 4], [2, 4, 1]],
+        "zk_orders": [2, 2],
+        "actions": {
+            "s0": [[1, 0], [0, 1]], "s1": [[0, 1], [1, 0]], "s2": [[1, 0], [0, 1]],
+        },
+        "subgroups": {"s0": [[1, 0]], "s1": [[1, 1]], "s2": [[0, 1]]},
+    }
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(c2))
     code, out, err = run(
-        capsys, "ext", "--datum", str(path), "--from", "0;", "--to", "0;"
+        capsys, "ext", "--datum", str(path), "--from", "0,0;", "--to", "0,0;",
+        "--strict",
     )
-    assert code == 0
-    assert "UNVERIFIED" in err
+    assert (code, err) == (0, "")
+    assert "dimension (closed form)" in out
+    assert "oracle" not in out
+
+    exotic = {
+        "name": "exotic", "p": 5, "reflections": ["a", "b"],
+        "coxeter": [[1, 5], [5, 1]], "zk_orders": [1],
+        "actions": {"a": [[0]], "b": [[0]]},
+        "subgroups": {"a": [[0]], "b": [[0]]},
+    }
+    path = tmp_path / "exotic.json"
+    path.write_text(json.dumps(exotic))
+    for argv in (
+        ("validate", str(path)),
+        ("ext", "--datum", str(path), "--from", "0;", "--to", "0;"),
+        ("table", "--datum", str(path)),
+    ):
+        code, line = run_failing(capsys, *argv)
+        assert code == 1
+        assert line.startswith("error: field 'coxeter': m(a, b) must be"), line
 
 
 def test_order_two_cross_pairs_match_the_oracle(tmp_path, capsys):

@@ -72,10 +72,10 @@ def test_finite_pairs_skips_infinite_orders():
     assert len(pairs) == 6  # all unordered pairs of a 4-cycle are finite
 
 
-def test_unverified_orders():
-    assert four_cycle().unverified_orders() == []
-    exotic = AffineCoxeterDatum(("a", "b"), ((1, 4), (4, 1)))
-    assert exotic.unverified_orders() == [("a", "b", 4)]
+def test_crystallographic_orders_are_accepted():
+    for m in (2, 3, 4, 6, INFINITE):
+        datum = AffineCoxeterDatum(("a", "b"), ((1, m), (m, 1)))
+        assert datum.order("a", "b") == m
 
 
 def test_int_matrix_round_trip():
@@ -97,6 +97,9 @@ def test_validation_rejects_bad_tables():
         AffineCoxeterDatum(("a", "b"), ((2, 3), (3, 1)))  # bad diagonal
     with pytest.raises(CoxeterError):
         AffineCoxeterDatum(("a", "b"), ((1, 1), (1, 1)))  # off-diagonal < 2
+    for m in (5, 7, 8):  # finite but not crystallographic
+        with pytest.raises(CoxeterError):
+            AffineCoxeterDatum(("a", "b"), ((1, m), (m, 1)))
 
 
 def test_infinite_constant_is_float_infinity():

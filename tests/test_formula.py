@@ -171,17 +171,27 @@ def test_empty_matching_set_forces_zero():
         assert result.dimension == 0
 
 
-def test_unverified_order_warning():
-    from heckext.coxeter import AffineCoxeterDatum
+def test_orders_four_and_six_join_components_like_order_three():
+    # trivial torus, reflections a and b: marks on opposite sides join only
+    # at order 2, marks on one side at every finite order
+    from heckext.coxeter import INFINITE, AffineCoxeterDatum
+    from heckext.oracle import oracle_ext_dimension
     from heckext.torus import TorusDatum
 
-    cox = AffineCoxeterDatum(("a", "b"), ((1, 4), (4, 1)))
-    torus = TorusDatum(
-        5, (1,), {"a": ((0,),), "b": ((0,),)}, {"a": ((0,),), "b": ((0,),)}
-    )
-    xi = hecke_character(torus, cox, trivial_character(torus), set())
-    result = ext_dimension(torus, cox, xi, xi)
-    assert any("unverified" in w for w in result.warnings)
+    zero = {"a": ((0,),), "b": ((0,),)}
+    torus = TorusDatum(5, (1,), zero, zero)
+    chi = trivial_character(torus)
+    expected_live = {2: (1, 1), 3: (2, 1), 4: (2, 1), 6: (2, 1), INFINITE: (2, 2)}
+    for m, (cross_live, same_live) in expected_live.items():
+        cox = AffineCoxeterDatum(("a", "b"), ((1, m), (m, 1)))
+        a, b, ab, none = (
+            hecke_character(torus, cox, chi, marks)
+            for marks in ({"a"}, {"b"}, {"a", "b"}, set())
+        )
+        for xi1, xi2, live_count in ((a, b, cross_live), (ab, none, same_live)):
+            r = ext_dimension(torus, cox, xi1, xi2)
+            assert (r.live, r.dimension) == (live_count, live_count - 1), m
+            assert r.dimension == oracle_ext_dimension(torus, cox, xi1, xi2), m
 
 
 def test_result_carries_ledger_for_every_reflection():
@@ -201,7 +211,6 @@ def test_commuting_pair_correction_needs_a_tied_component():
     r = result(sq, xi1, xi2)
     assert r.live == 0
     assert r.dimension == 1
-    assert not r.warnings
 
 
 def test_deltas_count_components_along_finite_orders():

@@ -1,10 +1,12 @@
-"""Source hygiene that no installed linter checks: unused module imports and
-module-private names the module never reads."""
+"""Source hygiene that no installed linter checks: unused module imports,
+module-private names the module never reads, and CLI arguments without help."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import heckext
+from heckext.cli import build_parser
 
 SOURCE = Path(heckext.__file__).parent
 
@@ -88,3 +90,30 @@ def test_no_unread_private_names():
         for path in sorted(SOURCE.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def arguments_without_help(parser: argparse.ArgumentParser, command=()) -> list[str]:
+    """Options and positionals of every subcommand that carry no help text,
+    each as the words that reach it, e.g. ``"validate path"``."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += arguments_without_help(sub, command + (name,))
+        elif not action.help:
+            flag = action.option_strings[0] if action.option_strings else action.dest
+            found.append(" ".join(command + (flag,)))
+    return found
+
+
+def test_arguments_without_help_are_detected():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--bare")
+    sub = parser.add_subparsers(dest="command").add_parser("run")
+    sub.add_argument("target")
+    sub.add_argument("--fine", help="has help")
+    assert arguments_without_help(parser) == ["--bare", "run target"]
+
+
+def test_every_cli_argument_has_help():
+    assert arguments_without_help(build_parser()) == []

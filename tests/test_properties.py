@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from heckext.oracle import (
     system_ext_dimension,
     verify_solution,
 )
-from heckext.presets import sl2, sl_n, u11, u21
+from heckext.presets import prime_power_radical, sl2, sl_n, u11, u21
 from heckext.torus import TorusDatum, TorusError, enumerate_characters, pair, twist
 
 PRESETS = [sl2(5), sl2(7), sl_n(3, 2), sl_n(3, 3), u11(2), u11(3), u21(2)]
@@ -168,12 +169,10 @@ WITNESS = build_datum(
 )
 
 
-@given(random_datum())
-@example(WITNESS)
-@settings(max_examples=20, deadline=None)
-def test_engines_agree_on_random_datums(data):
-    torus, cox = data
-    parsed = parse_document(dump_document("random", cox, torus))
+def assert_engines_agree(torus, cox):
+    """Round-trip the datum through a document, then compare the closed form
+    with the oracle on every ordered pair and check each kernel vector."""
+    parsed = parse_document(dump_document("datum", cox, torus))
     assert (parsed.torus, parsed.coxeter) == (torus, cox)
     chars = enumerate_hecke_characters(torus, cox)
     for xi1, xi2 in itertools.product(chars, repeat=2):
@@ -185,3 +184,79 @@ def test_engines_agree_on_random_datums(data):
         for vector in kernel_basis(system):
             assignment = dict(zip(system.unknowns, vector))
             assert verify_solution(torus, cox, xi1, xi2, assignment), pair_spec
+
+
+@given(random_datum())
+@example(WITNESS)
+@settings(max_examples=20, deadline=None)
+def test_engines_agree_on_random_datums(data):
+    assert_engines_agree(*data)
+
+
+def rank_two_datum(q, order_table, reflections):
+    """Torus (Z/(q-1))^2 and Coxeter datums for reflections s0, s1, s2.
+
+    ``reflections[s]`` is (table, coroot): the integer exponent table of s
+    on the cocharacter basis, and the coroot whose image is the rank-one
+    subgroup of s.  Entries are reduced mod q - 1.
+    """
+    d = q - 1
+    labels = tuple(sorted(reflections))
+    tables = {
+        s: tuple(tuple(x % d for x in row) for row in reflections[s][0])
+        for s in labels
+    }
+    subgroups = {
+        s: (tuple(x % d for x in reflections[s][1]),) for s in labels
+    }
+    torus = TorusDatum(prime_power_radical(q), (d, d), tables, subgroups)
+    return torus, from_int_matrix(labels, order_table)
+
+
+def c2_datum(q):
+    """Affine C2 (Sp4) over F_q.
+
+    Roots e1 - e2 (a1, short), 2e2 (a2, long) and the highest root 2e1 (s0),
+    with coroots e1 - e2, e2 and e1 in the cocharacter basis e1, e2.  The
+    Cartan entries <a1v, a2> = -2 and <a2v, a1> = -1 multiply to 2, so
+    m(s1, s2) = 4; <e1, e1 - e2> = 1 and <e1 - e2, 2e1> = 2 give
+    m(s0, s1) = 4; <e1, 2e2> = 0 gives m(s0, s2) = 2.  A reflection acts on
+    cocharacters by x -> x - <a, x> av: s1 swaps e1 and e2, s2 inverts e2,
+    s0 inverts e1.
+    """
+    return rank_two_datum(
+        q,
+        [[1, 4, 2], [4, 1, 4], [2, 4, 1]],
+        {
+            "s0": (((-1, 0), (0, 1)), (1, 0)),
+            "s1": (((0, 1), (1, 0)), (1, -1)),
+            "s2": (((1, 0), (0, -1)), (0, 1)),
+        },
+    )
+
+
+def g2_datum(q):
+    """Affine G2 over F_q, in the coroot basis a1v, a2v with a1 short.
+
+    With (a1, a1) = 2, (a2, a2) = 6 and (a1, a2) = -3, the Cartan entries
+    are <a1v, a2> = -3 and <a2v, a1> = -1, so m(s1, s2) = 6.  The highest
+    root t = 3a1 + 2a2 has tv = a1v + 2a2v, <t, a1v> = 0 and <t, a2v> =
+    <a2, tv> = 1, so m(s0, s1) = 2 and m(s0, s2) = 3.  By x -> x - <a, x> av:
+    s1 sends a1v to -a1v and a2v to a1v + a2v; s2 sends a1v to a1v + 3a2v
+    and a2v to -a2v; s0 fixes a1v and sends a2v to -a1v - a2v.
+    """
+    return rank_two_datum(
+        q,
+        [[1, 2, 3], [2, 1, 6], [3, 6, 1]],
+        {
+            "s0": (((1, 0), (-1, -1)), (1, 2)),
+            "s1": (((-1, 0), (1, 1)), (1, 0)),
+            "s2": (((1, 3), (0, -1)), (0, 1)),
+        },
+    )
+
+
+@pytest.mark.parametrize("q", (3, 4, 5))
+@pytest.mark.parametrize("build", (c2_datum, g2_datum), ids=("C2", "G2"))
+def test_engines_agree_on_orders_four_and_six(build, q):
+    assert_engines_agree(*build(q))

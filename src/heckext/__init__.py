@@ -40,7 +40,6 @@ from .torus import (
     character,
     enumerate_characters,
     s_lambda,
-    trivial_character,
     twist,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "character",
     "enumerate_characters",
     "s_lambda",
-    "trivial_character",
     "twist",
     "__version__",
 ]

@@ -12,6 +12,7 @@ bound exceeded, 4 engine mismatch under --oracle --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -315,8 +316,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused: parse_args keeps
+    # no state between calls, and building the tree is a third of a query
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:

@@ -10,6 +10,7 @@ when the two torus characters agree but the marked sets differ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -79,13 +80,32 @@ def torus_kill_set(
     )
 
 
-def _word_product(
-    xi1: HeckeCharacter, xi2: HeckeCharacter, word: Sequence[str]
-) -> SymMatrix:
+def _word_product(matrices: Mapping[str, SymMatrix], word: Sequence[str]) -> SymMatrix:
     acc = SymMatrix(1, 1, {})
     for s in word:
-        acc = acc @ generator_matrix(xi1, xi2, s)
+        acc = acc @ matrices[s]
     return acc
+
+
+@functools.cache
+def _braid_coefficients(
+    m: int, s_marks: tuple[bool, bool], t_marks: tuple[bool, bool]
+) -> tuple[int, int] | None:
+    """Coefficients on s and t of the off-diagonal of (stst...) - (tsts...).
+
+    The braid row of a pair depends only on its order m and on whether s
+    and t are marked on each side, so each of these patterns is multiplied
+    out once.  None when the two words disagree on the diagonal.
+    """
+    matrices = {
+        u: SymMatrix(-1 if marks[0] else 0, -1 if marks[1] else 0, {u: 1})
+        for u, marks in (("s", s_marks), ("t", t_marks))
+    }
+    left = _word_product(matrices, alternating_word("s", "t", m))
+    right = _word_product(matrices, alternating_word("t", "s", m))
+    if left.d1 != right.d1 or left.d2 != right.d2:
+        return None
+    return tuple(left.off.get(u, 0) - right.off.get(u, 0) for u in ("s", "t"))
 
 
 def build_system(
@@ -118,17 +138,17 @@ def build_system(
         rows.append((row, "Quadratic(%s)" % s))
 
     for s, t, m in cox.finite_pairs():
-        left = _word_product(xi1, xi2, alternating_word(s, t, m))
-        right = _word_product(xi1, xi2, alternating_word(t, s, m))
-        if left.d1 != right.d1 or left.d2 != right.d2:
+        coefficients = _braid_coefficients(
+            m,
+            (s in xi1.marked, s in xi2.marked),
+            (t in xi1.marked, t in xi2.marked),
+        )
+        if coefficients is None:
             raise TheoryMismatchError(
                 "braid products for (%s,%s) disagree on the diagonal" % (s, t)
             )
         row = [0] * len(unknowns)
-        for k, v in left.off.items():
-            row[index[k]] += v
-        for k, v in right.off.items():
-            row[index[k]] -= v
+        row[index[s]], row[index[t]] = coefficients
         rows.append((tuple(v % p for v in row), "Braid(%s,%s)" % (s, t)))
 
     return ConstraintSystem(unknowns, tuple(rows), p)

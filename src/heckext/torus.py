@@ -18,6 +18,12 @@ from typing import Iterable, Mapping, Sequence
 
 DEFAULT_ENUMERATION_BOUND = 1_000_000
 
+# Miller-Rabin with the first thirteen prime bases is exact below this bound,
+# the least strong pseudoprime to all of them; the first twelve are not
+# enough, since 318665857834031151167461 passes all twelve
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 class TorusError(ValueError):
     """Invalid torus datum."""
@@ -51,7 +57,12 @@ class TorusDatum:
 
     def __post_init__(self) -> None:
         p = self.residue_char
-        if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+        if p >= PRIMALITY_BOUND:
+            raise TorusError(
+                "residue characteristic of %d digits is too large: primality "
+                "is decided only below %d" % (len(str(p)), PRIMALITY_BOUND)
+            )
+        if not is_prime(p):
             raise TorusError("residue characteristic %r is not prime" % p)
         for d in self.orders:
             if d < 1:
@@ -103,6 +114,29 @@ class TorusDatum:
             return self.subgroups[s]
         except KeyError:
             raise TorusError("unknown reflection %r" % s) from None
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n below ``PRIMALITY_BOUND``."""
+    if n < 2:
+        return False
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in _PRIME_BASES:
+        x = pow(b, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def vectors_equal(datum: TorusDatum, x: Vector, y: Vector) -> bool:
@@ -202,10 +236,6 @@ def character(datum: TorusDatum, phases: Iterable[Fraction | int | str]) -> Char
     return Character(normalized)
 
 
-def trivial_character(datum: TorusDatum) -> Character:
-    return Character(tuple(Fraction(0) for _ in range(datum.rank)))
-
-
 def pair(char: Character, vector: Sequence[int]) -> Fraction:
     """Phase of the character value on the element with this exponent vector."""
     if len(vector) != len(char.phases):
@@ -221,21 +251,38 @@ def _character_row(datum: TorusDatum, char: Character, s: str) -> tuple[Characte
 
     The first lookup of a character computes its twists and c values at
     every reflection and keeps them in the datum's table, keyed by the
-    character's value, so each pairing is done once per datum.
+    character's value, so each character is paired once per datum.  The
+    pairing is ``pair`` in integers: with L the lcm of the phase
+    denominators, phase i is n_i / L, and the phase on x is
+    sum(x_i * n_i) mod L over L.
     """
     row = datum._table.get(char)
     if row is None:
-        row = datum._table[char] = {
-            t: (
-                Character(tuple(pair(char, image) for image in datum.actions[t])),
-                1 if all(pair(char, g) == 0 for g in gens) else 0,
-            )
-            for t, gens in datum.subgroups.items()
-        }
+        row = datum._table[char] = _fill_row(datum, char)
     try:
         return row[s]
     except KeyError:
         raise TorusError("unknown reflection %r" % s) from None
+
+
+def _fill_row(datum: TorusDatum, char: Character) -> dict[str, tuple[Character, int]]:
+    if len(char.phases) != datum.rank:
+        raise TorusError(
+            "character has %d phases, expected %d" % (len(char.phases), datum.rank)
+        )
+    lcm = math.lcm(*(ph.denominator for ph in char.phases))
+    nums = [ph.numerator * (lcm // ph.denominator) for ph in char.phases]
+
+    def numerator(vector: Vector) -> int:
+        return sum(x * n for x, n in zip(vector, nums)) % lcm
+
+    return {
+        t: (
+            Character(tuple(Fraction(numerator(image), lcm) for image in datum.actions[t])),
+            1 if all(numerator(g) == 0 for g in gens) else 0,
+        )
+        for t, gens in datum.subgroups.items()
+    }
 
 
 def twist(datum: TorusDatum, char: Character, s: str) -> Character:

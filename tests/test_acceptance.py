@@ -40,7 +40,7 @@ from heckext.quiver import (
     compare_partitions,
     l_packets,
 )
-from heckext.torus import character, s_lambda, trivial_character, twist
+from heckext.torus import character, s_lambda, twist
 
 PRESET_SPECS = (
     "sl2:5",
@@ -99,7 +99,7 @@ def test_criterion_1_rank_one_split_example():
             xi2 = hecke_character(p.torus, p.coxeter, chi_c, set())
             if both_engines(spec, xi1, xi2) != (2, 2):
                 failures.append((spec, r))
-        trivial = trivial_character(p.torus)
+        trivial = character(p.torus, [0] * p.torus.rank)
         for i, j in itertools.product(("s0", "s1"), repeat=2):
             xi1 = hecke_character(p.torus, p.coxeter, trivial, {i})
             xi2 = hecke_character(p.torus, p.coxeter, trivial, {j})
@@ -120,7 +120,7 @@ def test_criterion_2_triangle_disjoint_marks():
     ]
     for spec in ("sl_n:3:2", "sl_n:3:3"):
         p = preset(spec)
-        trivial = trivial_character(p.torus)
+        trivial = character(p.torus, [0] * p.torus.rank)
         for i1, i2 in itertools.product(subsets, subsets):
             if i1 & i2 or not i1 or not i2:
                 continue
@@ -138,7 +138,7 @@ def test_criterion_3_u21_proposition():
     for q in (2, 3):
         spec = "u21:%d" % q
         p = preset(spec)
-        trivial = trivial_character(p.torus)
+        trivial = character(p.torus, [0] * p.torus.rank)
         for i, j in itertools.product(("s1", "s2"), repeat=2):
             xi1 = hecke_character(p.torus, p.coxeter, trivial, {i})
             xi2 = hecke_character(p.torus, p.coxeter, trivial, {j})

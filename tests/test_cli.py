@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -403,3 +404,49 @@ def test_order_two_cross_pairs_match_the_oracle(tmp_path, capsys):
     )
     assert code == 0
     assert "verdict: MATCH" in out
+
+
+def test_validate_decides_primality_of_large_p(tmp_path, capsys):
+    doc = json.loads(run(capsys, "presets", "show", "sl_n:5:3", "--json")[1])
+    doc["p"] = 10**400
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    code, line = run_failing(capsys, "validate", str(huge))
+    assert code == 1
+    assert "too large" in line
+    doc["p"] = 2**61 - 1
+    mersenne = tmp_path / "mersenne.json"
+    mersenne.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(mersenne))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "") and out.startswith("valid: ")
+
+
+def run_or_usage_error(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused_without_state(monkeypatch, capsys):
+    ext = ("ext", "--preset", "sl_n:3:3", "--from", "0,0;s1", "--to", "0,0;s2")
+    sequence = [
+        ext + ("--oracle", "--explain", "--strict"),
+        ext,
+        ("ext", "--preset", "sl2:5", "--from", "zzz", "--to", "0;"),
+        ("ext", "--preset", "sl2:5", "--from", "0;"),
+        ("table", "--preset", "u11:3"),
+        ext + ("--oracle", "--explain", "--strict"),
+    ]
+    assert cli._parser() is cli._parser()
+    reused = [run_or_usage_error(capsys, argv) for argv in sequence]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_or_usage_error(capsys, argv) for argv in sequence]
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 2, ("SystemExit", 2), 0, 0]
+    assert reused[0][1].count("constraint rows") == 1

@@ -11,7 +11,7 @@ from heckext.formula import (
 )
 from heckext.hecke import hecke_character
 from heckext.presets import sl2, sl_n, u11, u21
-from heckext.torus import character, trivial_character, twist
+from heckext.torus import character, twist
 
 
 def make(preset, phases, marked):
@@ -180,7 +180,7 @@ def test_orders_four_and_six_join_components_like_order_three():
 
     zero = {"a": ((0,),), "b": ((0,),)}
     torus = TorusDatum(5, (1,), zero, zero)
-    chi = trivial_character(torus)
+    chi = character(torus, [0] * torus.rank)
     expected_live = {2: (1, 1), 3: (2, 1), 4: (2, 1), 6: (2, 1), INFINITE: (2, 2)}
     for m, (cross_live, same_live) in expected_live.items():
         cox = AffineCoxeterDatum(("a", "b"), ((1, m), (m, 1)))
@@ -244,7 +244,7 @@ def test_cross_pairs_of_order_two_join_one_component():
     # s1 - s2 - s3 is one component through two order-2 cross pairs; one
     # unknown, spanned by the coboundary
     torus, cox = witness_datum()
-    chi = trivial_character(torus)
+    chi = character(torus, [0] * torus.rank)
     xi1 = hecke_character(torus, cox, chi, {"s2"})
     xi2 = hecke_character(torus, cox, chi, {"s1", "s3"})
     r = ext_dimension(torus, cox, xi1, xi2)

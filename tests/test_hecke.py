@@ -1,5 +1,7 @@
 """Algebra characters: admissibility, supersingularity, enumeration, specs."""
 
+from fractions import Fraction
+
 import pytest
 
 from heckext.hecke import (
@@ -11,12 +13,18 @@ from heckext.hecke import (
     parse_spec,
 )
 from heckext.coxeter import AffineCoxeterDatum, INFINITE
-from heckext.presets import sl2, u21
-from heckext.torus import TorusDatum, character, trivial_character
+from heckext.presets import build_preset, sl2, u21
+from heckext.torus import (
+    Character,
+    TorusDatum,
+    character,
+    enumerate_characters,
+    twist,
+)
 
 
 def chi0(preset):
-    return trivial_character(preset.torus)
+    return character(preset.torus, [0] * preset.torus.rank)
 
 
 def test_admissible_marked_set():
@@ -76,7 +84,7 @@ def test_enumeration_counts_sl2_5():
 
 def test_enumeration_counts_u21_trivial_iwahori():
     preset = u21(2)
-    trivial = trivial_character(preset.torus)
+    trivial = chi0(preset)
     with_trivial = [
         xi
         for xi in enumerate_hecke_characters(preset.torus, preset.coxeter)
@@ -130,3 +138,24 @@ def test_parse_spec_errors():
         parse_spec(preset.torus, preset.coxeter, "x/y;")
     with pytest.raises(HeckeCharacterError):
         parse_spec(preset.torus, preset.coxeter, "1/4;s0")  # inadmissible
+
+
+@pytest.mark.parametrize(
+    "spec", ["sl2:5", "u11:3", "u21:3", "sl_n:3:3", "sl_n:4:3", "sl_n:5:3"]
+)
+def test_public_character_form_round_trips(spec):
+    # perfbench keys every node by tuple(xi.torus_char.phases) and compares
+    # it with the Fractions it parses back from the printed spec strings
+    preset = build_preset(spec)
+    torus, cox = preset.torus, preset.coxeter
+    chars = enumerate_characters(torus)
+    made = [character(torus, ch.phases) for ch in chars]
+    twisted = [twist(torus, ch, s) for ch in chars for s in cox.labels]
+    for ch in chars + made + twisted:
+        assert type(ch) is Character
+        assert all(type(ph) is Fraction and 0 <= ph < 1 for ph in ch.phases)
+    for xi in enumerate_hecke_characters(torus, cox):
+        text = format_spec(xi)
+        assert parse_spec(torus, cox, text) == xi
+        phases = tuple(Fraction(ph) for ph in text.partition(";")[0].split(","))
+        assert phases == xi.torus_char.phases

@@ -5,8 +5,11 @@ import itertools
 import pytest
 
 from heckext.hecke import enumerate_hecke_characters, hecke_character
+from heckext import oracle
 from heckext.oracle import (
     ConstraintSystem,
+    SymMatrix,
+    TheoryMismatchError,
     build_system,
     coboundary_vector,
     generator_matrix,
@@ -17,7 +20,7 @@ from heckext.oracle import (
     verify_solution,
 )
 from heckext.presets import sl2, sl_n, u21
-from heckext.torus import character, trivial_character
+from heckext.torus import character
 
 
 def make(preset, phases, marked):
@@ -193,3 +196,28 @@ def test_row_order_invariance():
             system.unknowns, tuple(reversed(system.rows)), system.prime
         )
         assert len(kernel_basis(system)) == len(kernel_basis(reversed_system))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_braid_coefficients_equal_direct_word_products(m):
+    for s1, s2, t1, t2 in itertools.product((False, True), repeat=4):
+        gens = {
+            "s": SymMatrix(-int(s1), -int(s2), {"s": 1}),
+            "t": SymMatrix(-int(t1), -int(t2), {"t": 1}),
+        }
+        left = right = SymMatrix(1, 1, {})
+        for k in range(m):
+            left = left @ gens["st"[k % 2]]
+            right = right @ gens["ts"[k % 2]]
+        assert (left.d1, left.d2) == (right.d1, right.d2)
+        direct = tuple(left.off.get(u, 0) - right.off.get(u, 0) for u in "st")
+        assert oracle._braid_coefficients(m, (s1, s2), (t1, t2)) == direct
+
+
+def test_braid_diagonal_disagreement_names_the_pair(monkeypatch):
+    preset = sl_n(3, 3)
+    xi = make(preset, [0, 0], ())
+    s, t, _ = next(iter(preset.coxeter.finite_pairs()))
+    monkeypatch.setattr(oracle, "_braid_coefficients", lambda m, s, t: None)
+    with pytest.raises(TheoryMismatchError, match=r"for \(%s,%s\) disagree" % (s, t)):
+        build_system(preset.torus, preset.coxeter, xi, xi)

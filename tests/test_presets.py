@@ -18,7 +18,6 @@ from heckext.torus import (
     character,
     enumerate_characters,
     s_lambda,
-    trivial_character,
     twist,
 )
 
@@ -138,7 +137,7 @@ def test_u11_3_regular_twist():
 
 def test_u21_s_chi_cases():
     p2 = u21(2)
-    trivial = trivial_character(p2.torus)
+    trivial = character(p2.torus, [0] * p2.torus.rank)
     assert s_lambda(p2.torus, p2.coxeter.labels, trivial) == {"s1", "s2"}
     hybrid = character(p2.torus, ["1/3", 0])
     assert s_lambda(p2.torus, p2.coxeter.labels, hybrid) == {"s2"}

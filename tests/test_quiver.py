@@ -22,7 +22,7 @@ from heckext.quiver import (
     to_dot,
     DiagramAutomorphism,
 )
-from heckext.torus import character, trivial_character, twist
+from heckext.torus import character, twist
 from test_properties import random_datum
 
 ENGINES = {

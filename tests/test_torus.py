@@ -13,15 +13,16 @@ from heckext.presets import build_preset, sl2, u11, u21
 from heckext.torus import (
     Character,
     EnumerationBoundError,
+    PRIMALITY_BOUND,
     TorusDatum,
     TorusError,
     c_value,
     character,
     enumerate_characters,
     generator_off_subgroup,
+    is_prime,
     pair,
     s_lambda,
-    trivial_character,
     twist,
 )
 
@@ -32,7 +33,7 @@ def chi(datum, *phases):
 
 def test_pair_trivial_character():
     torus = sl2(5).torus
-    assert pair(trivial_character(torus), (3,)) == 0
+    assert pair(chi(torus, 0), (3,)) == 0
 
 
 def test_pair_generator_evaluation():
@@ -50,7 +51,7 @@ def test_pair_rejects_wrong_length():
 def test_twist_inverts_sl2_characters():
     torus = sl2(5).torus
     assert twist(torus, chi(torus, "1/4"), "s0") == chi(torus, "3/4")
-    assert twist(torus, trivial_character(torus), "s1") == trivial_character(torus)
+    assert twist(torus, chi(torus, 0), "s1") == chi(torus, 0)
 
 
 def test_twist_u11_action():
@@ -71,7 +72,7 @@ def test_twist_is_involutive_everywhere():
 
 def test_subgroup_triviality():
     torus = sl2(5).torus
-    assert c_value(torus, trivial_character(torus), "s0") == 1
+    assert c_value(torus, chi(torus, 0), "s0") == 1
     # rank-one subgroup at s0 is the whole cyclic group
     assert c_value(torus, chi(torus, "1/4"), "s0") == 0
 
@@ -114,7 +115,7 @@ def test_c_value_matches_root_of_unity_average():
 
 def test_c_value_examples():
     torus = sl2(5).torus
-    assert c_value(torus, trivial_character(torus), "s0") == 1
+    assert c_value(torus, chi(torus, 0), "s0") == 1
     assert c_value(torus, chi(torus, "2/4"), "s1") == 0
     hybrid = character(u21(2).torus, ("1/3", 0))
     assert c_value(u21(2).torus, hybrid, "s2") == 1
@@ -122,13 +123,13 @@ def test_c_value_examples():
 
 def test_s_lambda_examples():
     sl = sl2(5)
-    assert s_lambda(sl.torus, sl.coxeter.labels, trivial_character(sl.torus)) == {
+    assert s_lambda(sl.torus, sl.coxeter.labels, chi(sl.torus, 0)) == {
         "s0",
         "s1",
     }
     assert s_lambda(sl.torus, sl.coxeter.labels, chi(sl.torus, "1/4")) == frozenset()
     u = u21(2)
-    assert s_lambda(u.torus, u.coxeter.labels, trivial_character(u.torus)) == {
+    assert s_lambda(u.torus, u.coxeter.labels, chi(u.torus, 0, 0)) == {
         "s1",
         "s2",
     }
@@ -158,6 +159,27 @@ def test_character_constructor_validation():
     with pytest.raises(TorusError):
         character(torus, ["1/4", "1/4"])  # wrong rank
     assert character(torus, ["5/4"]) == chi(torus, "1/4")  # reduced mod 1
+
+
+def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
+    def by_trial_division(n):
+        return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(5000) if is_prime(n)] == [
+        n for n in range(5000) if by_trial_division(n)
+    ]
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_residue_characteristic_beyond_the_primality_bound_is_rejected():
+    for p in (PRIMALITY_BOUND, 10**400):
+        with pytest.raises(TorusError, match="too large"):
+            TorusDatum(p, (2,), {"s": ((1,),)}, {"s": ((0,),)})
+    TorusDatum(2**61 - 1, (2,), {"s": ((1,),)}, {"s": ((0,),)})
 
 
 def test_datum_validation():
@@ -232,25 +254,31 @@ def test_twist_and_c_value_match_direct_pairing(spec):
 
 def test_each_character_is_paired_once_per_datum(monkeypatch):
     torus = u21(3).torus
-    calls = []
-    real = torus_module.pair
+    fills = []
+    real = torus_module._fill_row
 
-    def counting(char, vector):
-        calls.append(char)
-        return real(char, vector)
+    def counting(datum, char):
+        fills.append(char)
+        return real(datum, char)
 
-    monkeypatch.setattr(torus_module, "pair", counting)
+    monkeypatch.setattr(torus_module, "_fill_row", counting)
     ch = chi(torus, "1/4", "1/2")
     labels = sorted(torus.actions)
     first = [(twist(torus, ch, s), c_value(torus, ch, s)) for s in labels]
-    paired = len(calls)
-    assert paired > 0
+    assert fills == [ch] and list(torus._table) == [ch]
     again = [(twist(torus, ch, s), c_value(torus, ch, s)) for s in labels]
     s_lambda(torus, labels, ch)
-    assert again == first and len(calls) == paired
+    assert again == first and fills == [ch]
     # an equal character value reads the same entries
     twist(torus, Character(ch.phases), labels[0])
-    assert len(calls) == paired
+    assert fills == [ch] and len(torus._table) == 1
+    # each twist is a new character value, filled once on its first lookup
+    twisted = [twist(torus, ch, s) for s in labels]
+    for tw in twisted:
+        twist(torus, tw, labels[0])
+        twist(torus, tw, labels[-1])
+    distinct = list(dict.fromkeys([ch, *twisted]))
+    assert fills == distinct and list(torus._table) == distinct
 
 
 def test_datums_with_equal_orders_keep_separate_entries():

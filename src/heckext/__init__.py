@@ -3,6 +3,8 @@ pro-p Iwahori-Hecke algebras: a closed-form engine, an independent
 linear-algebra oracle over the prime field, block decomposition and
 diagram-orbit comparison, plus ready-made group datums."""
 
+from types import ModuleType
+
 from .coxeter import INFINITE, AffineCoxeterDatum, CoxeterError
 from .document import (
     DocumentError,
@@ -45,48 +47,9 @@ from .torus import (
 
 __version__ = "0.1.0"
 
+# every public name imported above, and the version
 __all__ = [
-    "INFINITE",
-    "AffineCoxeterDatum",
-    "CoxeterError",
-    "DocumentError",
-    "GroupDatum",
-    "dump_document",
-    "load_document",
-    "parse_document",
-    "ExtResult",
-    "ext_dimension",
-    "HeckeCharacter",
-    "HeckeCharacterError",
-    "enumerate_hecke_characters",
-    "format_spec",
-    "hecke_character",
-    "is_supersingular",
-    "parse_spec",
-    "TheoryMismatchError",
-    "oracle_ext_dimension",
-    "verify_solution",
-    "Preset",
-    "PresetError",
-    "build_preset",
-    "sl2",
-    "sl_n",
-    "u11",
-    "u21",
-    "DiagramAutomorphism",
-    "ExtQuiver",
-    "blocks",
-    "build_quiver",
-    "compare_partitions",
-    "l_packets",
-    "to_dot",
-    "Character",
-    "TorusDatum",
-    "TorusError",
-    "c_value",
-    "character",
-    "enumerate_characters",
-    "s_lambda",
-    "twist",
-    "__version__",
-]
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, ModuleType)
+] + ["__version__"]

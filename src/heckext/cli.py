@@ -33,9 +33,11 @@ from .hecke import (
 from .oracle import build_system, system_ext_dimension
 from .presets import PRESET_BUILDERS, PresetError, build_preset
 from .quiver import (
+    ExtQuiver,
     blocks,
     build_quiver,
     compare_partitions,
+    evaluate_pairs,
     l_packets,
     identity_automorphism,
     to_dot,
@@ -59,9 +61,7 @@ BOUND_HELP = (
     "a larger group exits 3"
 )
 STRICT_HELP = "with --oracle, exit 4 when the engines disagree"
-TSV_HEADER_ORACLE = (
-    "# heckext-table v1\n# columns: from\tto\tdimension\toracle\tverdict"
-)
+TSV_HEADER_ORACLE = TSV_HEADER + "\toracle\tverdict"
 
 
 class CliError(Exception):
@@ -165,57 +165,24 @@ def cmd_ext(args) -> int:
 
 def cmd_table(args) -> int:
     name, cox, torus, _ = _load_context(args)
-    quiver = build_quiver(
-        torus,
-        cox,
-        engine="oracle" if args.oracle else "formula",
-        include_non_ss=not args.supersingular_only,
-        bound=args.bound,
+    # one pass yields every engine's dimension; a pair nonzero for either is listed
+    engines = ("formula", "oracle") if args.oracle else ("formula",)
+    nodes, pairs = evaluate_pairs(
+        torus, cox, engines, not args.supersingular_only, args.bound
     )
-    exit_code = EXIT_OK
-    if args.oracle:
-        # compare the engines on every pair that is nonzero for either
-        other = build_quiver(
-            torus,
-            cox,
-            engine="formula",
-            include_non_ss=not args.supersingular_only,
-            bound=args.bound,
-        )
-        compared = [
-            (i, j, other.edges.get((i, j), 0), quiver.edges.get((i, j), 0))
-            for i, j in sorted(set(quiver.edges) | set(other.edges))
-        ]
-        if args.strict and any(f != o for _, _, f, o in compared):
-            exit_code = EXIT_MISMATCH
+    rows = [(i, j, dims) for (i, j), dims in pairs.items() if any(dims)]
+    mismatch = any(len(set(dims)) > 1 for _, _, dims in rows)
+    exit_code = EXIT_MISMATCH if args.strict and mismatch else EXIT_OK
     if args.format == "dot":
-        sys.stdout.write(to_dot(quiver))
+        # the last engine's quiver: the oracle's under --oracle
+        edges = {(i, j): dims[-1] for i, j, dims in rows if dims[-1]}
+        sys.stdout.write(to_dot(ExtQuiver(nodes, edges)))
         return exit_code
-    lines = []
-    if args.oracle:
-        lines.append(TSV_HEADER_ORACLE)
-        for i, j, d_formula, d_oracle in compared:
-            lines.append(
-                "%s\t%s\t%d\t%d\t%s"
-                % (
-                    format_spec(quiver.nodes[i]),
-                    format_spec(quiver.nodes[j]),
-                    d_formula,
-                    d_oracle,
-                    "MATCH" if d_oracle == d_formula else "MISMATCH",
-                )
-            )
-    else:
-        lines.append(TSV_HEADER)
-        for i, j in sorted(quiver.edges):
-            lines.append(
-                "%s\t%s\t%d"
-                % (
-                    format_spec(quiver.nodes[i]),
-                    format_spec(quiver.nodes[j]),
-                    quiver.edges[(i, j)],
-                )
-            )
+    lines = [TSV_HEADER_ORACLE if args.oracle else TSV_HEADER]
+    for i, j, dims in rows:
+        verdict = ["MATCH" if len(set(dims)) == 1 else "MISMATCH"] if args.oracle else []
+        fields = [format_spec(nodes[i]), format_spec(nodes[j]), *map(str, dims), *verdict]
+        lines.append("\t".join(fields))
     print("\n".join(lines))
     return exit_code
 
@@ -228,23 +195,23 @@ def cmd_blocks(args) -> int:
     print("%d supersingular characters, %d blocks" % (
         len(quiver.nodes), len(block_partition)
     ))
+
+    def members(part) -> str:
+        return ", ".join(format_spec(quiver.nodes[i]) for i in part)
+
     for k, part in enumerate(block_partition):
-        members = ", ".join(format_spec(quiver.nodes[i]) for i in part)
-        print("block %d: %s" % (k, members))
+        print("block %d: %s" % (k, members(part)))
     if not args.compare_l_packets:
         return EXIT_OK
     packet_partition = l_packets(torus, cox, autos, quiver.nodes)
     for k, part in enumerate(packet_partition):
-        members = ", ".join(format_spec(quiver.nodes[i]) for i in part)
-        print("packet %d: %s" % (k, members))
+        print("packet %d: %s" % (k, members(part)))
     comparison = compare_partitions(block_partition, packet_partition)
     print("comparison: %s" % ("EQUAL" if comparison.equal else "NOT EQUAL"))
     for part in comparison.blocks_meeting_multiple_packets:
-        members = ", ".join(format_spec(quiver.nodes[i]) for i in part)
-        print("block spanning several packets: %s" % members)
+        print("block spanning several packets: %s" % members(part))
     for part in comparison.packets_split_across_blocks:
-        members = ", ".join(format_spec(quiver.nodes[i]) for i in part)
-        print("packet split across blocks: %s" % members)
+        print("packet split across blocks: %s" % members(part))
     return EXIT_OK
 
 

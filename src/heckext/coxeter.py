@@ -9,7 +9,7 @@ of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 INFINITE = math.inf
@@ -35,12 +35,17 @@ class AffineCoxeterDatum:
 
     labels: tuple[str, ...]
     orders: tuple[tuple[float, ...], ...]
+    # label -> position in ``labels``, built once for ``index`` and ``order``
+    _positions: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise CoxeterError("at least one reflection is required")
         if len(set(self.labels)) != len(self.labels):
             raise CoxeterError("reflection labels must be distinct")
+        self._positions.update((s, i) for i, s in enumerate(self.labels))
         n = len(self.labels)
         if len(self.orders) != n or any(len(row) != n for row in self.orders):
             raise CoxeterError("order table must be square of size %d" % n)
@@ -66,8 +71,8 @@ class AffineCoxeterDatum:
 
     def index(self, s: str) -> int:
         try:
-            return self.labels.index(s)
-        except ValueError:
+            return self._positions[s]
+        except KeyError:
             raise CoxeterError("unknown reflection %r" % s) from None
 
     def order(self, s: str, t: str) -> float:

@@ -52,9 +52,7 @@ def _require(doc: Mapping[str, Any], field: str, kind: type, what: str) -> Any:
     if field not in doc:
         raise DocumentParseError("missing field %r" % field)
     value = doc[field]
-    if kind is int and isinstance(value, bool):
-        raise DocumentParseError("field %r: expected %s" % (field, what))
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise DocumentParseError("field %r: expected %s" % (field, what))
     return value
 

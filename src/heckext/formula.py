@@ -10,10 +10,11 @@ the one-sided marks, less the coboundary direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coxeter import INFINITE, AffineCoxeterDatum
 from .hecke import HeckeCharacter
-from .torus import TorusDatum, c_value, twist
+from .torus import Character, TorusDatum, s_lambda, twist
 
 # Per-reflection ledger states.
 FREE = "free"
@@ -86,32 +87,58 @@ def _live_components(
     return live
 
 
+class TorusFacts(NamedTuple):
+    """What the ledger reads of a pair's torus characters chi1, chi2."""
+
+    matching: frozenset[str]  # s with s.chi1 = chi2
+    admissible: frozenset[str]  # s with c_chi1(s) = 1
+    same: bool  # chi1 = chi2
+
+
+def torus_facts(
+    datum: TorusDatum, cox: AffineCoxeterDatum, chi1: Character, chi2: Character
+) -> TorusFacts:
+    """The torus part of the closed form, shared by every mark pair over chi1, chi2."""
+    return TorusFacts(
+        frozenset(s for s in cox.labels if twist(datum, chi1, s) == chi2),
+        s_lambda(datum, cox.labels, chi1),
+        chi1 == chi2,
+    )
+
+
 def ext_dimension(
     datum: TorusDatum,
     cox: AffineCoxeterDatum,
     xi1: HeckeCharacter,
     xi2: HeckeCharacter,
 ) -> ExtResult:
-    """Closed-form dimension of the extension space of xi2 by xi1.
+    """Closed-form dimension of the extension space of xi2 by xi1."""
+    facts = torus_facts(datum, cox, xi1.torus_char, xi2.torus_char)
+    return marked_ext_dimension(cox, facts, xi1.marked, xi2.marked)
+
+
+def marked_ext_dimension(
+    cox: AffineCoxeterDatum,
+    facts: TorusFacts,
+    marked1: frozenset[str],
+    marked2: frozenset[str],
+) -> ExtResult:
+    """The mark part of the closed form: the ledger of one pair of marked sets.
 
     dimension = |free| + live - [same torus character, different marked sets].
     """
-    chi1, chi2 = xi1.torus_char, xi2.torus_char
-    both = xi1.marked & xi2.marked
-    only1, only2 = xi1.marked - both, xi2.marked - both
-    matching: set[str] = set()
+    both = marked1 & marked2
+    only1, only2 = marked1 - both, marked2 - both
     ledger: dict[str, str] = {}
     for s in cox.labels:
-        if twist(datum, chi1, s) == chi2:
-            matching.add(s)
-        admissible = c_value(datum, chi1, s) == 1
+        admissible = s in facts.admissible
         if s in both:
             state = ZERO_QUAD_BOTH
         elif s in only2 and not admissible:
             state = ZERO_QUAD_I2
         elif s not in only1 and s not in only2 and admissible:
             state = ZERO_QUAD_UNMARKED
-        elif s not in matching:
+        elif s not in facts.matching:
             state = ZERO_TORUS
         elif s in only1:
             state = TIED_I1
@@ -132,13 +159,7 @@ def ext_dimension(
 
     # equal torus characters tie every one-sided mark, and differing marked
     # sets leave at least one: the coboundary lies in a live component
-    coboundary = chi1 == chi2 and xi1.marked != xi2.marked
+    coboundary = facts.same and marked1 != marked2
     dim = len(free_set) + live - (1 if coboundary else 0)
 
-    return ExtResult(
-        dimension=dim,
-        i_lambda_pair=frozenset(matching),
-        free=free_set,
-        live=live,
-        per_reflection=ledger,
-    )
+    return ExtResult(dim, facts.matching, free_set, live, ledger)

@@ -70,12 +70,15 @@ def is_supersingular(
     reflection could have been (the twist of sign by the standard
     involution).
     """
-    all_refl = cox.reflection_set()
-    if xi.marked == all_refl:
-        return False
-    if not xi.marked and s_lambda(datum, cox.labels, xi.torus_char) == all_refl:
-        return False
-    return True
+    admissible = s_lambda(datum, cox.labels, xi.torus_char)
+    return _supersingular(cox.reflection_set(), xi.marked, admissible)
+
+
+def _supersingular(
+    reflections: frozenset[str], marked: frozenset[str], admissible: frozenset[str]
+) -> bool:
+    """``is_supersingular`` from the character's S_lambda, already computed."""
+    return marked != reflections and (bool(marked) or admissible != reflections)
 
 
 def enumerate_hecke_characters(
@@ -89,18 +92,16 @@ def enumerate_hecke_characters(
     Torus characters come lexicographically by phases; marked sets are
     ordered as bitmasks over the reflection list.
     """
+    reflections = cox.reflection_set()
     out: list[HeckeCharacter] = []
     for chi in enumerate_characters(datum, bound=bound):
         sl = s_lambda(datum, cox.labels, chi)
         admissible = [s for s in cox.labels if s in sl]
         for mask in range(1 << len(admissible)):
-            marked = frozenset(
-                s for k, s in enumerate(admissible) if mask & (1 << k)
-            )
-            xi = HeckeCharacter(chi, marked)
-            if only_supersingular and not is_supersingular(datum, cox, xi):
+            marked = frozenset(s for k, s in enumerate(admissible) if mask & (1 << k))
+            if only_supersingular and not _supersingular(reflections, marked, sl):
                 continue
-            out.append(xi)
+            out.append(HeckeCharacter(chi, marked))
     return out
 
 

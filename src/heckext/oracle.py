@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .coxeter import AffineCoxeterDatum, alternating_word
 from .hecke import HeckeCharacter
-from .torus import TorusDatum, c_value, twist
+from .torus import Character, TorusDatum, c_value, twist
 
 
 class TheoryMismatchError(RuntimeError):
@@ -66,6 +66,18 @@ def generator_matrix(
     )
 
 
+def torus_rows(
+    datum: TorusDatum, cox: AffineCoxeterDatum, chi1: Character, chi2: Character
+) -> tuple[frozenset[str], tuple[int, ...]]:
+    """The torus part of the system, shared by every mark pair over chi1, chi2.
+
+    These are the reflections whose constant the torus commutation relation
+    kills, twist(chi2, s) != chi1, and c_chi1(s) for each reflection in order.
+    """
+    killed = frozenset(s for s in cox.labels if twist(datum, chi2, s) != chi1)
+    return killed, tuple(c_value(datum, chi1, s) for s in cox.labels)
+
+
 def torus_kill_set(
     datum: TorusDatum,
     cox: AffineCoxeterDatum,
@@ -73,11 +85,7 @@ def torus_kill_set(
     xi2: HeckeCharacter,
 ) -> frozenset[str]:
     """Reflections whose constant dies by the torus commutation relation."""
-    return frozenset(
-        s
-        for s in cox.labels
-        if twist(datum, xi2.torus_char, s) != xi1.torus_char
-    )
+    return torus_rows(datum, cox, xi1.torus_char, xi2.torus_char)[0]
 
 
 def _word_product(matrices: Mapping[str, SymMatrix], word: Sequence[str]) -> SymMatrix:
@@ -115,27 +123,34 @@ def build_system(
     xi2: HeckeCharacter,
 ) -> ConstraintSystem:
     """Assemble all torus, quadratic and finite-braid rows."""
-    p = datum.residue_char
+    killed, c_values = torus_rows(datum, cox, xi1.torus_char, xi2.torus_char)
+    return assemble_system(cox, datum.residue_char, killed, c_values, xi1, xi2)
+
+
+def assemble_system(
+    cox: AffineCoxeterDatum,
+    p: int,
+    killed: frozenset[str],
+    c_values: tuple[int, ...],
+    xi1: HeckeCharacter,
+    xi2: HeckeCharacter,
+) -> ConstraintSystem:
+    """The mark part of the system: rows over F_p for one pair of marked sets."""
     unknowns = tuple(cox.labels)
     index = {s: i for i, s in enumerate(unknowns)}
     rows: list[tuple[tuple[int, ...], str]] = []
 
-    def unit_row(s: str) -> tuple[int, ...]:
-        return tuple(1 if i == index[s] else 0 for i in range(len(unknowns)))
+    def unit_row(s: str, coeff: int) -> tuple[int, ...]:
+        return tuple(coeff if i == index[s] else 0 for i in range(len(unknowns)))
 
-    killed = torus_kill_set(datum, cox, xi1, xi2)
     for s in cox.labels:
         if s in killed:
-            rows.append((unit_row(s), "TorusKill(%s)" % s))
+            rows.append((unit_row(s, 1), "TorusKill(%s)" % s))
 
-    for s in cox.labels:
+    for s, c in zip(cox.labels, c_values):
         m = generator_matrix(xi1, xi2, s)
         # off-diagonal of M^2 + diag(c1, c2) * M; diagonals vanish identically
-        coeff = (m.d1 + m.d2 + c_value(datum, xi1.torus_char, s)) % p
-        row = tuple(
-            coeff if i == index[s] else 0 for i in range(len(unknowns))
-        )
-        rows.append((row, "Quadratic(%s)" % s))
+        rows.append((unit_row(s, (m.d1 + m.d2 + c) % p), "Quadratic(%s)" % s))
 
     for s, t, m in cox.finite_pairs():
         coefficients = _braid_coefficients(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .coxeter import AffineCoxeterDatum, INFINITE
 from .quiver import DiagramAutomorphism, compose_automorphisms, identity_automorphism
-from .torus import TorusDatum, identity_map
+from .torus import TorusDatum, identity_map, is_prime
 
 
 class PresetError(ValueError):
@@ -28,16 +28,24 @@ class Preset:
 
 
 def prime_power_radical(q: int) -> int:
-    """The prime p with q a power of p; rejects anything else."""
-    if q < 2:
-        raise PresetError("%r is not a prime power" % q)
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    m = q
-    while m > 1:
-        if m % p != 0:
-            raise PresetError("%r is not a prime power" % q)
-        m //= p
-    return p
+    """The prime p with q a power of p; rejects anything else.
+
+    q = p**k has k below the bit length of q, so each k there is tried
+    through the integer k-th root of q.
+    """
+    for k in range(1, max(q, 1).bit_length()):
+        p = _integer_root(q, k)
+        if p**k == q and is_prime(p):
+            return p
+    raise PresetError("%r is not a prime power" % q)
+
+
+def _integer_root(q: int, k: int) -> int:
+    """The largest x with x**k <= q, for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while (y := ((k - 1) * x + q // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def sl2(q: int) -> Preset:
@@ -95,18 +103,12 @@ def sl_n(n: int, q: int) -> Preset:
         raise PresetError("sl_n needs n >= 3; use sl2 for rank one")
     p = prime_power_radical(q)
     labels = tuple("s%d" % i for i in range(1, n + 1))
-    orders = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(1)
-            elif (j - i) % n in (1, n - 1):
-                row.append(3)
-            else:
-                row.append(2)
-        orders.append(tuple(row))
-    cox = AffineCoxeterDatum(labels, tuple(orders))
+    # neighbours on the cycle braid with order 3, all other pairs commute
+    orders = tuple(
+        tuple(1 if i == j else 3 if (j - i) % n in (1, n - 1) else 2 for j in range(n))
+        for i in range(n)
+    )
+    cox = AffineCoxeterDatum(labels, orders)
     d = q - 1
     # reflection s_i (i < n) swaps diagonal positions (i, i+1); the affine
     # reflection s_n swaps positions (n, 1) through the highest root

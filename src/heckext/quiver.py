@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coxeter import AffineCoxeterDatum
-from .formula import ext_dimension
+from .formula import marked_ext_dimension, torus_facts
 from .hecke import HeckeCharacter, enumerate_hecke_characters, format_spec
-from .oracle import oracle_ext_dimension
+from .oracle import assemble_system, system_ext_dimension, torus_rows
 from .torus import (
     DEFAULT_ENUMERATION_BOUND,
     Character,
@@ -48,9 +48,8 @@ class DiagramAutomorphism:
     torus_map: tuple[tuple[int, ...], ...]
 
     def validate(self, datum: TorusDatum, cox: AffineCoxeterDatum) -> None:
-        if set(self.perm) != set(cox.labels) or set(self.perm.values()) != set(
-            cox.labels
-        ):
+        labels = set(cox.labels)
+        if set(self.perm) != labels or set(self.perm.values()) != labels:
             raise QuiverError("perm is not a permutation of the reflections")
         for s in cox.labels:
             for t in cox.labels:
@@ -110,30 +109,56 @@ def apply_automorphism(
     pulled-back character is admissible at s exactly when the original
     is at perm[s]; so the marked set is relabeled by the inverse perm.
     """
-    chi = Character(tuple(pair(xi.torus_char, row) for row in auto.torus_map))
+    return HeckeCharacter(_pull_back(auto, xi.torus_char), _relabel(auto)(xi.marked))
+
+
+def _pull_back(auto: DiagramAutomorphism, chi: Character) -> Character:
+    return Character(tuple(pair(chi, row) for row in auto.torus_map))
+
+
+def _relabel(auto: DiagramAutomorphism) -> Callable[[frozenset[str]], frozenset[str]]:
     inverse = {t: s for s, t in auto.perm.items()}
-    marked = frozenset(inverse[t] for t in xi.marked)
-    return HeckeCharacter(chi, marked)
+    return lambda marked: frozenset(inverse[t] for t in marked)
 
 
-def build_quiver(
+def _formula(datum: TorusDatum, cox: AffineCoxeterDatum, chi1, chi2):
+    facts = torus_facts(datum, cox, chi1, chi2)
+    return lambda xi1, xi2: marked_ext_dimension(cox, facts, xi1.marked, xi2.marked).dimension
+
+
+def _oracle(datum: TorusDatum, cox: AffineCoxeterDatum, chi1, chi2):
+    (killed, c_values), p = torus_rows(datum, cox, chi1, chi2), datum.residue_char
+    return lambda xi1, xi2: system_ext_dimension(
+        assemble_system(cox, p, killed, c_values, xi1, xi2), cox, xi1, xi2
+    )
+
+
+# engine -> (pair of torus characters -> (pair of nodes over it -> dimension))
+_ENGINES = {"formula": _formula, "oracle": _oracle}
+
+
+def evaluate_pairs(
     datum: TorusDatum,
     cox: AffineCoxeterDatum,
-    engine: str = "formula",
+    engines: Sequence[str] = ("formula",),
     include_non_ss: bool = False,
     bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> ExtQuiver:
-    """All ordered pairs with nonzero extension dimension.
+) -> tuple[tuple[HeckeCharacter, ...], dict[tuple[int, int], tuple[int, ...]]]:
+    """The nodes, and each engine's dimension on their twist-related ordered pairs.
 
-    Only pairs whose second torus character is a twist of the first by
-    some reflection are evaluated.  Any other pair has dimension 0 in
-    both engines: the torus commutation relation kills every structure
-    constant, and no coboundary is subtracted.  A marked reflection fixes
-    its torus character (s(g) - g lies in the subgroup the character is
-    trivial on), so equal torus characters that no reflection fixes both
-    carry the empty marked set.
+    A pair (i, j) is evaluated only when the torus character of node j is
+    a twist of that of node i by some reflection.  Any other pair has
+    dimension 0 in both engines: the torus commutation relation kills
+    every structure constant, and no coboundary is subtracted.  A marked
+    reflection fixes its torus character (s(g) - g lies in the subgroup
+    the character is trivial on), so equal torus characters that no
+    reflection fixes both carry the empty marked set.
+
+    Each engine reads its torus-level facts once per pair of torus
+    characters, and evaluates the pairs of nodes over it from those.
+    Pairs come in ascending (i, j) order.
     """
-    if engine not in ("formula", "oracle"):
+    if not set(engines) <= _ENGINES.keys():
         raise QuiverError("engine must be 'formula' or 'oracle'")
     nodes = tuple(
         enumerate_hecke_characters(
@@ -143,18 +168,25 @@ def build_quiver(
     by_char: dict[Character, list[int]] = {}
     for j, xi in enumerate(nodes):
         by_char.setdefault(xi.torus_char, []).append(j)
-    edges: dict[tuple[int, int], int] = {}
-    for i, xi1 in enumerate(nodes):
-        twisted = {twist(datum, xi1.torus_char, s) for s in cox.labels}
-        for j in sorted(j for chi in twisted for j in by_char.get(chi, ())):
-            xi2 = nodes[j]
-            if engine == "formula":
-                dim = ext_dimension(datum, cox, xi1, xi2).dimension
-            else:
-                dim = oracle_ext_dimension(datum, cox, xi1, xi2)
-            if dim > 0:
-                edges[(i, j)] = dim
-    return ExtQuiver(nodes, edges)
+    dims: dict[tuple[int, int], tuple[int, ...]] = {}
+    for chi1, firsts in by_char.items():
+        for chi2 in {twist(datum, chi1, s) for s in cox.labels} & by_char.keys():
+            evaluators = [_ENGINES[name](datum, cox, chi1, chi2) for name in engines]
+            for i, j in itertools.product(firsts, by_char[chi2]):
+                dims[(i, j)] = tuple(f(nodes[i], nodes[j]) for f in evaluators)
+    return nodes, dict(sorted(dims.items()))
+
+
+def build_quiver(
+    datum: TorusDatum,
+    cox: AffineCoxeterDatum,
+    engine: str = "formula",
+    include_non_ss: bool = False,
+    bound: int = DEFAULT_ENUMERATION_BOUND,
+) -> ExtQuiver:
+    """All ordered pairs with nonzero extension dimension (see ``evaluate_pairs``)."""
+    nodes, dims = evaluate_pairs(datum, cox, (engine,), include_non_ss, bound)
+    return ExtQuiver(nodes, {ij: d for ij, (d,) in dims.items() if d > 0})
 
 
 def blocks(q: ExtQuiver) -> list[list[int]]:
@@ -195,30 +227,32 @@ def l_packets(
     """Orbits of the node set under the supplied automorphism group."""
     for auto in autos:
         auto.validate(datum, cox)
-    _check_closure(datum, cox, autos)
-    index = {xi: i for i, xi in enumerate(nodes)}
-    links = []
+    _check_closure(datum, autos)
+    # nodes by torus character, then by marked set: each automorphism pulls
+    # back and looks up each torus character once, not once per node
+    index: dict[Character, dict[frozenset[str], int]] = {}
     for i, xi in enumerate(nodes):
-        for auto in autos:
-            image = apply_automorphism(datum, cox, auto, xi)
-            if image not in index:
-                raise QuiverError(
-                    "automorphism image %s left the node set" % format_spec(image)
-                )
-            links.append((i, index[image]))
+        index.setdefault(xi.torus_char, {})[xi.marked] = i
+    links = []
+    for auto in autos:
+        relabel = _relabel(auto)
+        for chi, members in index.items():
+            image_chi = _pull_back(auto, chi)
+            targets = index.get(image_chi, {})
+            for marked, i in members.items():
+                j = targets.get(relabel(marked))
+                if j is None:
+                    image = HeckeCharacter(image_chi, relabel(marked))
+                    raise QuiverError(
+                        "automorphism image %s left the node set" % format_spec(image)
+                    )
+                links.append((i, j))
     return _components(len(nodes), links)
 
 
-def _check_closure(
-    datum: TorusDatum,
-    cox: AffineCoxeterDatum,
-    autos: Sequence[DiagramAutomorphism],
-) -> None:
+def _check_closure(datum: TorusDatum, autos: Sequence[DiagramAutomorphism]) -> None:
     def key(auto: DiagramAutomorphism):
-        table = tuple(
-            tuple(v % d for v, d in zip(row, datum.orders))
-            for row in auto.torus_map
-        )
+        table = tuple(tuple(v % d for v, d in zip(row, datum.orders)) for row in auto.torus_map)
         return (tuple(sorted(auto.perm.items())), table)
 
     keys = {key(a) for a in autos}
@@ -244,14 +278,8 @@ def compare_partitions(
     packet_nodes = sorted(i for part in packet_partition for i in part)
     if block_nodes != packet_nodes:
         raise QuiverError("partitions cover different node sets")
-    packet_of = {}
-    for k, part in enumerate(packet_partition):
-        for i in part:
-            packet_of[i] = k
-    block_of = {}
-    for k, part in enumerate(block_partition):
-        for i in part:
-            block_of[i] = k
+    packet_of = {i: k for k, part in enumerate(packet_partition) for i in part}
+    block_of = {i: k for k, part in enumerate(block_partition) for i in part}
     mixed_blocks = tuple(
         tuple(part)
         for part in block_partition

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from heckext import cli, quiver
+from heckext import cli, hecke, quiver
 from heckext.cli import main
 from heckext.document import dump_document
 from heckext.presets import sl2
@@ -64,6 +64,19 @@ def test_presets_show_bad_spec(capsys):
     code, line = run_failing(capsys, "presets", "show", "sl2:6")
     assert code == 2
     assert "not a prime power" in line
+
+
+def test_presets_show_large_prime_power_is_fast(capsys):
+    # q = 2**61 - 1: trial division up to q never finished
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "presets", "show", "sl2:2305843009213693951")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "residue characteristic: 2305843009213693951" in out
+    for spec in ("sl2:6", "sl2:1"):
+        code, line = run_failing(capsys, "presets", "show", spec)
+        assert code == 2
+        assert "not a prime power" in line
 
 
 def test_validate_accepts_preset_document(tmp_path, capsys):
@@ -241,18 +254,34 @@ def test_table_strict_mismatch_exit_code_for_both_formats(capsys, monkeypatch):
     argv = ("table", "--preset", "sl2:5", "--oracle", "--strict")
     code, dot, _ = run(capsys, *argv, "--format", "dot")
     assert code == 0
-    real = quiver.ext_dimension
+    real = quiver.marked_ext_dimension
 
     def off_by_one(*args):
         result = real(*args)
         return dataclasses.replace(result, dimension=result.dimension + 1)
 
-    monkeypatch.setattr(quiver, "ext_dimension", off_by_one)
+    monkeypatch.setattr(quiver, "marked_ext_dimension", off_by_one)
     code, out, _ = run(capsys, *argv)
     assert code == 4
     assert "MISMATCH" in out
     # the DOT output draws the oracle's quiver, so only the exit code moves
     assert run(capsys, *argv, "--format", "dot") == (4, dot, "")
+
+
+def test_table_oracle_enumerates_characters_once(capsys, monkeypatch):
+    # both engines come from one pass over one node set
+    real = hecke.enumerate_characters
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hecke, "enumerate_characters", counting)
+    code, out, _ = run(capsys, "table", "--preset", "u21:4", "--oracle", "--strict")
+    assert code == 0
+    assert len(counted) == 1
+    assert len(out.splitlines()) == 2 + 150
 
 
 def test_table_tsv(capsys):

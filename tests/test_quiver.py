@@ -17,13 +17,14 @@ from heckext.quiver import (
     blocks,
     build_quiver,
     compare_partitions,
+    evaluate_pairs,
     identity_automorphism,
     l_packets,
     to_dot,
     DiagramAutomorphism,
 )
 from heckext.torus import character, twist
-from test_properties import random_datum
+from test_properties import c2_datum, g2_datum, random_datum
 
 ENGINES = {
     "formula": lambda *args: ext_dimension(*args).dimension,
@@ -228,24 +229,37 @@ def test_to_dot_output():
 
 
 def assert_edges_equal_dense_loop(torus, cox):
-    """``build_quiver`` against a loop over every ordered pair, per engine."""
-    for engine, include_non_ss in itertools.product(ENGINES, (False, True)):
+    """``build_quiver`` against a loop over every ordered pair, per engine,
+    and the one pass over both engines against the two loops."""
+    for include_non_ss in (False, True):
         nodes = enumerate_hecke_characters(
             torus, cox, only_supersingular=not include_non_ss
         )
-        dense = {}
+        dense = {engine: {} for engine in ENGINES}
         for (i, xi1), (j, xi2) in itertools.product(enumerate(nodes), repeat=2):
-            dim = ENGINES[engine](torus, cox, xi1, xi2)
-            if dim != 0:
-                dense[(i, j)] = dim
-        sparse = build_quiver(
-            torus, cox, engine=engine, include_non_ss=include_non_ss
-        )
-        assert sparse.nodes == tuple(nodes)
-        assert list(sparse.edges.items()) == list(dense.items()), (
-            engine,
-            include_non_ss,
-        )
+            for engine, edges in dense.items():
+                dim = ENGINES[engine](torus, cox, xi1, xi2)
+                if dim != 0:
+                    edges[(i, j)] = dim
+        for engine, edges in dense.items():
+            sparse = build_quiver(
+                torus, cox, engine=engine, include_non_ss=include_non_ss
+            )
+            assert sparse.nodes == tuple(nodes)
+            assert list(sparse.edges.items()) == list(edges.items()), (
+                engine,
+                include_non_ss,
+            )
+        both_nodes, both = evaluate_pairs(torus, cox, tuple(ENGINES), include_non_ss)
+        assert both_nodes == tuple(nodes)
+        assert list(both) == sorted(both)
+        for k, edges in enumerate(dense.values()):
+            assert {ij: d[k] for ij, d in both.items() if d[k]} == edges
+
+
+@pytest.mark.parametrize("build", (c2_datum, g2_datum), ids=("C2", "G2"))
+def test_edges_equal_dense_loop_on_orders_four_and_six(build):
+    assert_edges_equal_dense_loop(*build(3))
 
 
 @pytest.mark.parametrize(
@@ -268,14 +282,32 @@ def test_edges_equal_dense_loop_on_random_datums(datum):
 def test_only_twist_related_pairs_are_evaluated(monkeypatch, spec, nodes, calls):
     # a loop over every ordered pair would make nodes**2 calls: 12,100 and 1,681
     preset = build_preset(spec)
-    real = quiver_module.ext_dimension
+    counted = count_calls(monkeypatch, quiver_module, "marked_ext_dimension")
+    quiver = build_quiver(preset.torus, preset.coxeter, include_non_ss=True)
+    assert len(quiver.nodes) == nodes
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("spec, torus_pairs", [("u21:4", 75), ("sl_n:4:3", 19)])
+def test_torus_facts_are_read_once_per_pair_of_torus_characters(
+    monkeypatch, spec, torus_pairs
+):
+    # the 210 and 496 evaluated pairs share these pairs of torus characters
+    preset = build_preset(spec)
+    counted = count_calls(monkeypatch, quiver_module, "torus_facts")
+    build_quiver(preset.torus, preset.coxeter, include_non_ss=True)
+    assert len(counted) == torus_pairs
+    assert len({(args[2], args[3]) for args in counted}) == torus_pairs
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    real = getattr(module, name)
     counted = []
 
     def counting(*args):
         counted.append(args)
         return real(*args)
 
-    monkeypatch.setattr(quiver_module, "ext_dimension", counting)
-    quiver = build_quiver(preset.torus, preset.coxeter, include_non_ss=True)
-    assert len(quiver.nodes) == nodes
-    assert len(counted) == calls
+    monkeypatch.setattr(module, name, counting)
+    return counted

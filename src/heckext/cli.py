@@ -30,7 +30,6 @@ from .hecke import (
     format_spec,
     parse_spec,
 )
-from .oracle import build_system, system_ext_dimension
 from .presets import PRESET_BUILDERS, PresetError, build_preset
 from .quiver import (
     ExtQuiver,
@@ -65,7 +64,7 @@ TSV_HEADER_ORACLE = TSV_HEADER + "\toracle\tverdict"
 
 
 class CliError(Exception):
-    """Command line that names no datum source."""
+    """Command line that names no datum source or two, or a bound below 1."""
 
 
 # first match wins, so a subclass comes before its base; QuiverError and
@@ -90,10 +89,14 @@ def _preset_title(preset) -> str:
 
 def _load_context(args) -> tuple[str, AffineCoxeterDatum, TorusDatum, tuple]:
     """Resolve --preset/--datum into (name, coxeter, torus, automorphisms)."""
-    if getattr(args, "preset", None):
+    if getattr(args, "bound", 1) < 1:
+        raise CliError("--bound must be at least 1, got %d" % args.bound)
+    if args.preset and args.datum:
+        raise CliError("give one of --preset or --datum, not both")
+    if args.preset:
         preset = build_preset(args.preset)
         return _preset_title(preset), preset.coxeter, preset.torus, preset.automorphisms
-    if getattr(args, "datum", None):
+    if args.datum:
         datum = load_document(args.datum)
         autos = (identity_automorphism(datum.torus, datum.coxeter),)
         return datum.name, datum.coxeter, datum.torus, autos
@@ -146,6 +149,9 @@ def cmd_ext(args) -> int:
         print("  %s: %s" % (s, result.per_reflection[s]))
     exit_code = EXIT_OK
     if args.oracle or args.explain:
+        # imported here, so that a command without either flag never loads it
+        from .oracle import build_system, system_ext_dimension
+
         system = build_system(torus, cox, xi1, xi2)
     if args.oracle:
         oracle_dim = system_ext_dimension(system, cox, xi1, xi2)

@@ -9,8 +9,7 @@ of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 INFINITE = math.inf
 """Order of a reflection product with no braid relation (infinite dihedral)."""
@@ -23,29 +22,29 @@ class CoxeterError(ValueError):
     """Invalid Coxeter datum or unknown reflection."""
 
 
-@dataclass(frozen=True)
-class AffineCoxeterDatum:
+class _CoxeterFields(NamedTuple):
+    labels: tuple[str, ...]
+    orders: tuple[tuple[float, ...], ...]
+
+
+class AffineCoxeterDatum(_CoxeterFields):
     """Reflection set with the symmetric table of product orders m(s, s').
 
     ``orders[i][j]`` is the order of the product of reflections ``labels[i]``
     and ``labels[j]``; diagonal entries are 1, off-diagonal entries are
     2, 3, 4, 6 or :data:`INFINITE`.  The affine Weyl group of a connected
     reductive group is crystallographic, so no other finite order occurs.
+    The fields are a frozen named tuple, validated on construction
+    (``_replace`` included); equality and hash read only them.
     """
 
-    labels: tuple[str, ...]
-    orders: tuple[tuple[float, ...], ...]
-    # label -> position in ``labels``, built once for ``index`` and ``order``
-    _positions: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
+    def __init__(self, *fields: object, **named: object) -> None:
         if not self.labels:
             raise CoxeterError("at least one reflection is required")
         if len(set(self.labels)) != len(self.labels):
             raise CoxeterError("reflection labels must be distinct")
-        self._positions.update((s, i) for i, s in enumerate(self.labels))
+        # label -> position in ``labels``, built once for ``index`` and ``order``
+        self._positions = {s: i for i, s in enumerate(self.labels)}
         n = len(self.labels)
         if len(self.orders) != n or any(len(row) != n for row in self.orders):
             raise CoxeterError("order table must be square of size %d" % n)
@@ -68,6 +67,8 @@ class AffineCoxeterDatum:
                         "m(%s, %s) must be 2, 3, 4, 6 or infinite (crystallographic)"
                         % (self.labels[i], self.labels[j])
                     )
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def index(self, s: str) -> int:
         try:

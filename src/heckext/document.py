@@ -9,9 +9,7 @@ generators.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .coxeter import AffineCoxeterDatum, CoxeterError, from_int_matrix, to_int_matrix
 from .torus import TorusDatum, TorusError
@@ -39,8 +37,7 @@ class DocumentInvariantError(DocumentError):
     """Well-formed document whose datums violate a validation invariant."""
 
 
-@dataclass(frozen=True)
-class GroupDatum:
+class GroupDatum(NamedTuple):
     """A named pair of validated Coxeter and torus datums."""
 
     name: str
@@ -75,6 +72,8 @@ def parse_document(text: str) -> GroupDatum:
     All diagnostics are wrapped in :class:`DocumentError` and name the
     offending field or invariant.
     """
+    import json  # here, not at import: most commands read no document
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -139,6 +138,8 @@ def load_document(path: str) -> GroupDatum:
 
 def dump_document(name: str, cox: AffineCoxeterDatum, torus: TorusDatum) -> str:
     """Serialize the datums back to the canonical JSON layout."""
+    import json  # here, not at import: most commands write no document
+
     doc = {
         "name": name,
         "p": torus.residue_char,

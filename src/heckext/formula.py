@@ -9,7 +9,6 @@ the one-sided marks, less the coboundary direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .coxeter import INFINITE, AffineCoxeterDatum
@@ -29,8 +28,7 @@ ZERO_HYP4 = "zero:commutes-with-i2-group"
 ZERO_HYP5 = "zero:order-three-with-shared-mark"
 
 
-@dataclass(frozen=True)
-class ExtResult:
+class ExtResult(NamedTuple):
     """Dimension plus the data the closed form was assembled from.
 
     ``i_lambda_pair`` is the twist-matching set, ``free`` the reflections
@@ -43,7 +41,7 @@ class ExtResult:
     i_lambda_pair: frozenset[str]
     free: frozenset[str]
     live: int
-    per_reflection: dict[str, str] = field(default_factory=dict)
+    per_reflection: dict[str, str]
 
 
 def _live_components(

@@ -9,9 +9,8 @@ subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .coxeter import AffineCoxeterDatum
 from .torus import (
@@ -32,8 +31,7 @@ class InadmissibleMarkError(HeckeCharacterError):
     """A marked reflection outside S_lambda for the torus character."""
 
 
-@dataclass(frozen=True, eq=True)
-class HeckeCharacter:
+class HeckeCharacter(NamedTuple):
     """Character of the affine algebra: T_s -> -1 on marked, 0 elsewhere."""
 
     torus_char: Character

@@ -11,8 +11,7 @@ when the two torus characters agree but the marked sets differ.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .coxeter import AffineCoxeterDatum, alternating_word
 from .hecke import HeckeCharacter
@@ -23,8 +22,7 @@ class TheoryMismatchError(RuntimeError):
     """The coboundary vector fell outside the constraint kernel."""
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """Linear rows over F_p in the per-reflection structure constants."""
 
     unknowns: tuple[str, ...]

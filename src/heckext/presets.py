@@ -7,7 +7,7 @@ for packet comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coxeter import AffineCoxeterDatum, INFINITE
 from .quiver import DiagramAutomorphism, compose_automorphisms, identity_automorphism
@@ -18,8 +18,7 @@ class PresetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     params: dict[str, int]
     coxeter: AffineCoxeterDatum

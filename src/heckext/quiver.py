@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coxeter import AffineCoxeterDatum
 from .formula import marked_ext_dimension, torus_facts
 from .hecke import HeckeCharacter, enumerate_hecke_characters, format_spec
-from .oracle import assemble_system, system_ext_dimension, torus_rows
 from .torus import (
     DEFAULT_ENUMERATION_BOUND,
     Character,
     TorusDatum,
     compose_exponent_maps,
     identity_map,
-    pair,
+    pull_back,
     twist,
     undefined_generator,
     vectors_equal,
@@ -27,16 +25,14 @@ class QuiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExtQuiver:
+class ExtQuiver(NamedTuple):
     """Directed graph of nonzero extension dimensions between characters."""
 
     nodes: tuple[HeckeCharacter, ...]
-    edges: dict[tuple[int, int], int] = field(default_factory=dict)
+    edges: dict[tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(NamedTuple):
     """Relabeling of the diagram plus a compatible torus automorphism.
 
     ``perm`` must preserve the Coxeter matrix; ``torus_map`` is an exponent
@@ -109,11 +105,8 @@ def apply_automorphism(
     pulled-back character is admissible at s exactly when the original
     is at perm[s]; so the marked set is relabeled by the inverse perm.
     """
-    return HeckeCharacter(_pull_back(auto, xi.torus_char), _relabel(auto)(xi.marked))
-
-
-def _pull_back(auto: DiagramAutomorphism, chi: Character) -> Character:
-    return Character(tuple(pair(chi, row) for row in auto.torus_map))
+    image = pull_back(xi.torus_char, auto.torus_map)
+    return HeckeCharacter(image, _relabel(auto)(xi.marked))
 
 
 def _relabel(auto: DiagramAutomorphism) -> Callable[[frozenset[str]], frozenset[str]]:
@@ -127,6 +120,9 @@ def _formula(datum: TorusDatum, cox: AffineCoxeterDatum, chi1, chi2):
 
 
 def _oracle(datum: TorusDatum, cox: AffineCoxeterDatum, chi1, chi2):
+    # imported here, so that a formula-only quiver never loads the oracle
+    from .oracle import assemble_system, system_ext_dimension, torus_rows
+
     (killed, c_values), p = torus_rows(datum, cox, chi1, chi2), datum.residue_char
     return lambda xi1, xi2: system_ext_dimension(
         assemble_system(cox, p, killed, c_values, xi1, xi2), cox, xi1, xi2
@@ -237,7 +233,7 @@ def l_packets(
     for auto in autos:
         relabel = _relabel(auto)
         for chi, members in index.items():
-            image_chi = _pull_back(auto, chi)
+            image_chi = pull_back(chi, auto.torus_map)
             targets = index.get(image_chi, {})
             for marked, i in members.items():
                 j = targets.get(relabel(marked))
@@ -262,8 +258,7 @@ def _check_closure(datum: TorusDatum, autos: Sequence[DiagramAutomorphism]) -> N
                 raise QuiverError("automorphism list is not closed under composition")
 
 
-@dataclass(frozen=True)
-class PartitionComparison:
+class PartitionComparison(NamedTuple):
     equal: bool
     blocks_meeting_multiple_packets: tuple[tuple[int, ...], ...]
     packets_split_across_blocks: tuple[tuple[int, ...], ...]

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 DEFAULT_ENUMERATION_BOUND = 1_000_000
 
@@ -36,26 +35,26 @@ class EnumerationBoundError(RuntimeError):
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=True)
-class TorusDatum:
+class _TorusFields(NamedTuple):
+    residue_char: int
+    orders: tuple[int, ...]
+    actions: Mapping[str, tuple[Vector, ...]]
+    subgroups: Mapping[str, tuple[Vector, ...]]
+
+
+class TorusDatum(_TorusFields):
     """Generator orders, conjugation actions and rank-one subgroups.
 
     ``actions[s][i]`` is the exponent vector of the image of generator i
     under conjugation by reflection s; ``subgroups[s]`` lists generator
     exponent vectors of the subgroup controlling the quadratic relation
-    at s.
+    at s.  The fields are a frozen named tuple, validated on construction
+    (``_replace`` included); equality reads them, not the twist table.
     """
 
-    residue_char: int
-    orders: tuple[int, ...]
-    actions: Mapping[str, tuple[Vector, ...]]
-    subgroups: Mapping[str, tuple[Vector, ...]]
-    # per torus character: reflection -> (twist, c value), see _character_row
-    _table: dict[Character, dict[str, tuple[Character, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
+    def __init__(self, *fields: object, **named: object) -> None:
+        # per torus character: reflection -> (twist, c value), see _character_row
+        self._table: dict[Character, dict[str, tuple[Character, int]]] = {}
         p = self.residue_char
         if p >= PRIMALITY_BOUND:
             raise TorusError(
@@ -94,6 +93,8 @@ class TorusDatum:
                 raise TorusError(
                     "action for %r moves generator %d off its subgroup" % (s, i)
                 )
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def rank(self) -> int:
@@ -209,8 +210,7 @@ def compose_exponent_maps(
     return tuple(rows)
 
 
-@dataclass(frozen=True, eq=True)
-class Character:
+class Character(NamedTuple):
     """Character of the torus quotient, as exact phases in Q/Z.
 
     The value on the element with exponent vector x is the root of unity
@@ -236,25 +236,12 @@ def character(datum: TorusDatum, phases: Iterable[Fraction | int | str]) -> Char
     return Character(normalized)
 
 
-def pair(char: Character, vector: Sequence[int]) -> Fraction:
-    """Phase of the character value on the element with this exponent vector."""
-    if len(vector) != len(char.phases):
-        raise TorusError(
-            "exponent vector has %d components, expected %d"
-            % (len(vector), len(char.phases))
-        )
-    return sum((x * ph for x, ph in zip(vector, char.phases)), Fraction(0)) % 1
-
-
 def _character_row(datum: TorusDatum, char: Character, s: str) -> tuple[Character, int]:
     """Twist of ``char`` by s and its c value at s.
 
     The first lookup of a character computes its twists and c values at
     every reflection and keeps them in the datum's table, keyed by the
-    character's value, so each character is paired once per datum.  The
-    pairing is ``pair`` in integers: with L the lcm of the phase
-    denominators, phase i is n_i / L, and the phase on x is
-    sum(x_i * n_i) mod L over L.
+    character's value, so each character is paired once per datum.
     """
     row = datum._table.get(char)
     if row is None:
@@ -270,19 +257,42 @@ def _fill_row(datum: TorusDatum, char: Character) -> dict[str, tuple[Character, 
         raise TorusError(
             "character has %d phases, expected %d" % (len(char.phases), datum.rank)
         )
+    numerator, pull = _pairing(char)
+    return {
+        t: (pull(datum.actions[t]), 1 if all(numerator(g) == 0 for g in gens) else 0)
+        for t, gens in datum.subgroups.items()
+    }
+
+
+def _pairing(
+    char: Character,
+) -> tuple[Callable[[Vector], int], Callable[[Sequence[Vector]], Character]]:
+    """The pairing of ``char`` with exponent vectors, in integers.
+
+    With L the lcm of the phase denominators, phase i is n_i / L, and the
+    phase on x is numerator(x) / L with numerator(x) = sum(x_i * n_i) mod L.
+    pull(table) is the character g -> char(table(g)), whose phase on
+    generator i is the phase on row i; only its phases become ``Fraction``s.
+    """
     lcm = math.lcm(*(ph.denominator for ph in char.phases))
     nums = [ph.numerator * (lcm // ph.denominator) for ph in char.phases]
 
     def numerator(vector: Vector) -> int:
         return sum(x * n for x, n in zip(vector, nums)) % lcm
 
-    return {
-        t: (
-            Character(tuple(Fraction(numerator(image), lcm) for image in datum.actions[t])),
-            1 if all(numerator(g) == 0 for g in gens) else 0,
+    def pull(table: Sequence[Vector]) -> Character:
+        return Character(tuple(Fraction(numerator(row), lcm) for row in table))
+
+    return numerator, pull
+
+
+def pull_back(char: Character, table: Sequence[Vector]) -> Character:
+    """The character g -> char(table(g)), for a table of one image per generator."""
+    if any(len(row) != len(char.phases) for row in table):
+        raise TorusError(
+            "exponent table rows must have %d components" % len(char.phases)
         )
-        for t, gens in datum.subgroups.items()
-    }
+    return _pairing(char)[1](table)
 
 
 def twist(datum: TorusDatum, char: Character, s: str) -> Character:

@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -239,7 +238,7 @@ def test_ext_strict_mismatch_exit_code(capsys, monkeypatch):
 
     def off_by_one(*args):
         result = real(*args)
-        return dataclasses.replace(result, dimension=result.dimension + 1)
+        return result._replace(dimension=result.dimension + 1)
 
     monkeypatch.setattr(cli, "ext_dimension", off_by_one)
     code, out, _ = run(
@@ -258,7 +257,7 @@ def test_table_strict_mismatch_exit_code_for_both_formats(capsys, monkeypatch):
 
     def off_by_one(*args):
         result = real(*args)
-        return dataclasses.replace(result, dimension=result.dimension + 1)
+        return result._replace(dimension=result.dimension + 1)
 
     monkeypatch.setattr(quiver, "marked_ext_dimension", off_by_one)
     code, out, _ = run(capsys, *argv)
@@ -359,6 +358,28 @@ def test_missing_datum_source(capsys):
     code, _, err = run(capsys, "ext", "--from", "0;", "--to", "0;")
     assert code == 2
     assert "--preset or --datum" in err
+
+
+@pytest.mark.parametrize(
+    "command", [("ext", "--from", "1/4;", "--to", "3/4;"), ("table",), ("blocks",)]
+)
+def test_preset_and_datum_together_is_a_parse_error(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing.json")
+    code, line = run_failing(
+        capsys, *command, "--preset", "sl2:5", "--datum", missing
+    )
+    assert code == 2
+    assert "--preset" in line and "--datum" in line and "not both" in line
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize("command", ["table", "blocks"])
+def test_bound_below_one_is_a_parse_error(capsys, command, bound):
+    code, line = run_failing(
+        capsys, command, "--preset", "sl_n:4:3", "--bound", bound
+    )
+    assert code == 2
+    assert line == "error: --bound must be at least 1, got %s" % bound
 
 
 def _run_cli(args):

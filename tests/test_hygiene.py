@@ -75,11 +75,9 @@ def test_unread_private_names_are_detected():
 
 
 def test_no_unused_module_imports():
-    # __init__.py imports names to re-export them
     found = {
         path.name: unused_imports(path.read_text())
         for path in sorted(SOURCE.glob("*.py"))
-        if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
 
